@@ -36,13 +36,11 @@ from .model import (
     ModelParams,
     SoftmaxParams,
     backward,
-    conv_time_valid,
     finite_difference_gradients,
     forward,
     init_params,
     load_checkpoint,
     loss,
-    one_max_pool,
     pad_to_min,
     regularizer,
     save_checkpoint,

@@ -3,8 +3,9 @@
 Configuration precedence: built-in defaults < config file (key=value
 lines, # comments) < command-line flags. All randomness flows from one
 --seed; sub-seeds are derived by labeled hashing, so adding a consumer
-never perturbs existing streams. Exit codes: 0 success, 1 runtime or
-I/O failure, 2 usage or configuration error.
+never perturbs existing streams. Exit codes: 0 success, 1 runtime, I/O
+or data failure (any ValueError raised past configuration), 2 usage or
+configuration error (flags, config file, TrainConfig, SynthConfig).
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, model
+from . import model
 from .data import (
     Manifest,
     ManifestFormatError,
     NoiseBank,
+    REGIMES,
     Sample,
     SynthConfig,
     WavFormatError,
@@ -34,27 +36,25 @@ from .model import CheckpointFormatError
 from .optim import AdamStateFormatError
 from .seeds import derive_seed
 from .train import (
-    DEFAULT_WIDTHS,
+    CONFIG_PARSERS,
     TrainConfig,
     accuracy_table,
     config_text,
     evaluate,
     extract_features,
     feature_digest,
+    read_cached,
     sweep_tsv,
     train,
+    value_text,
     width_sweep,
 )
 
 CACHE_ENV = "ONEMAX_CACHE"
+DEFAULTS = TrainConfig()
 
 # keys a config file may set; anything else is a typo worth failing on
-CONFIG_KEYS = {
-    "widths", "filters_per_width", "learning_rate", "dropout_rate",
-    "l2_lambda", "batch_size", "epochs", "seed", "regime", "with_energy",
-    "energy_scale", "n_freq", "masked_pool", "regularize_biases", "snrs",
-    "copies_per_snr", "validate_clean_only", "cache",
-}
+CONFIG_KEYS = set(CONFIG_PARSERS) | {"cache"}
 
 # hyperparameter keys --paper-defaults pins back to the built-in defaults
 HYPERPARAM_KEYS = {
@@ -64,6 +64,7 @@ HYPERPARAM_KEYS = {
 
 RUNTIME_ERRORS = (
     OSError,
+    ValueError,
     WavFormatError,
     ManifestFormatError,
     SifFormatError,
@@ -74,102 +75,61 @@ RUNTIME_ERRORS = (
 )
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+class ConfigError(ValueError):
+    """A flag, config-file value or config object that cannot be built; exit 2."""
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    return tuple(int(part) for part in text.split(","))
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    if not text.strip():
-        return ()
-    return tuple(float(part) for part in text.split(","))
+def _build(cls, **values):
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config_file(path) -> dict[str, str]:
     """Parse key=value lines; # starts a comment; unknown keys are errors."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
 
 
-def _resolve(args, file_cfg: dict[str, str], key: str, default, conv):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg:
-        return conv(file_cfg[key])
-    return default
+def _given(args, file_cfg: dict[str, str]) -> dict:
+    """The TrainConfig fields set by a flag or, failing that, by the config file."""
+    values = {}
+    for key, parse in CONFIG_PARSERS.items():
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            values[key] = flag_value
+        elif key in file_cfg:
+            try:
+                values[key] = parse(file_cfg[key])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from None
+    return values
 
 
 def resolve_seed(args, file_cfg: dict[str, str]) -> int:
-    return _resolve(args, file_cfg, "seed", 0, int)
+    return _given(args, file_cfg).get("seed", DEFAULTS.seed)
 
 
 def resolve_train_config(args, file_cfg: dict[str, str]) -> TrainConfig:
     """Apply precedence defaults < config file < flags and validate."""
     if getattr(args, "paper_defaults", False):
         file_cfg = {k: v for k, v in file_cfg.items() if k not in HYPERPARAM_KEYS}
-    masked = True
-    if "masked_pool" in file_cfg:
-        masked = _parse_bool(file_cfg["masked_pool"])
-    if getattr(args, "unmasked_pool", None):
-        masked = False
-
-    widths_flag = getattr(args, "widths", None)
-    if widths_flag is not None:
-        widths = _parse_int_list(widths_flag)
-    elif "widths" in file_cfg:
-        widths = _parse_int_list(file_cfg["widths"])
-    else:
-        widths = DEFAULT_WIDTHS
-
-    snrs_flag = getattr(args, "snrs", None)
-    if snrs_flag is not None:
-        snrs = _parse_float_list(snrs_flag)
-    elif "snrs" in file_cfg:
-        snrs = _parse_float_list(file_cfg["snrs"])
-    else:
-        snrs = (20.0, 10.0, 0.0)
-
-    return TrainConfig(
-        widths=widths,
-        filters_per_width=_resolve(args, file_cfg, "filters_per_width", 100, int),
-        learning_rate=_resolve(args, file_cfg, "learning_rate", 1e-4, float),
-        dropout_rate=_resolve(args, file_cfg, "dropout_rate", 0.5, float),
-        l2_lambda=_resolve(args, file_cfg, "l2_lambda", 1e-4, float),
-        batch_size=_resolve(args, file_cfg, "batch_size", 100, int),
-        epochs=_resolve(args, file_cfg, "epochs", None, int),
-        seed=resolve_seed(args, file_cfg),
-        regime=_resolve(args, file_cfg, "regime", "mismatched", str),
-        with_energy=_resolve(args, file_cfg, "with_energy", False, _parse_bool),
-        energy_scale=_resolve(args, file_cfg, "energy_scale", 1.0, float),
-        n_freq=_resolve(args, file_cfg, "n_freq", dsp.N_FREQ, int),
-        masked_pool=masked,
-        regularize_biases=_resolve(args, file_cfg, "regularize_biases", False, _parse_bool),
-        snrs=snrs,
-        copies_per_snr=_resolve(args, file_cfg, "copies_per_snr", 1, int),
-        validate_clean_only=_resolve(args, file_cfg, "validate_clean_only", False, _parse_bool),
-    )
+    return _build(TrainConfig, **_given(args, file_cfg))
 
 
 def resolve_cache_dir(args, file_cfg: dict[str, str], default=None):
@@ -194,7 +154,8 @@ def _load_inputs(args, file_cfg) -> tuple[Manifest, NoiseBank]:
 # Subcommands
 
 def cmd_synth(args, file_cfg) -> int:
-    cfg = SynthConfig(
+    cfg = _build(
+        SynthConfig,
         n_classes=args.classes,
         instances_per_class=args.per_class,
         noise_duration_s=args.noise_duration,
@@ -236,8 +197,8 @@ def cmd_extract(args, file_cfg) -> int:
             )
             digest = feature_digest(config, sample)
             out_path = cache_dir / f"{digest}.sif"
-            if out_path.exists():
-                sif = dsp.read_sif(out_path)
+            values = read_cached(out_path)
+            if values is not None:
                 print(f"skip (cached): {record.path} [{condition}] -> {out_path.name}")
             else:
                 try:
@@ -246,12 +207,10 @@ def cmd_extract(args, file_cfg) -> int:
                     print(f"error: {record.path} [{condition}]: {exc}", file=sys.stderr)
                     failures += 1
                     continue
-                sif = dsp.read_sif(out_path)
                 print(f"wrote: {record.path} [{condition}] -> {out_path.name} "
-                      f"({sif.n_rows}x{sif.n_frames})")
-            index_lines.append(
-                f"{digest}\t{record.path}\t{condition}\t{sif.n_rows}\t{sif.n_frames}"
-            )
+                      f"({values.shape[0]}x{values.shape[1]})")
+            rows, cols = values.shape
+            index_lines.append(f"{digest}\t{record.path}\t{condition}\t{rows}\t{cols}")
     (cache_dir / "index.tsv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
     if failures:
         print(f"{failures} file(s) failed", file=sys.stderr)
@@ -292,15 +251,11 @@ def cmd_train(args, file_cfg) -> int:
     return 0
 
 
-def _infer_energy(params: model.ModelParams, config: TrainConfig, args) -> TrainConfig:
-    if getattr(args, "energy", None) is None and params.input_rows == config.n_freq + 1:
-        return config.with_overrides(with_energy=True)
-    return config
-
-
 def cmd_eval(args, file_cfg) -> int:
+    config = resolve_train_config(args, file_cfg)
     params = model.load_checkpoint(args.ckpt)
-    config = _infer_energy(params, resolve_train_config(args, file_cfg), args)
+    # the checkpoint's row count says whether it was trained with the energy row
+    config = config.with_overrides(with_energy=params.input_rows == config.n_freq + 1)
     manifest, bank = _load_inputs(args, file_cfg)
     cache_dir = resolve_cache_dir(args, file_cfg)
     accuracies = evaluate(params, manifest, bank, config, cache_dir)
@@ -319,7 +274,7 @@ def cmd_sweep(args, file_cfg) -> int:
     # --widths names the widths to sweep, one single-width model each; it is
     # not a width tuple for the base config, so a bad entry must surface as a
     # failed sweep row rather than a usage error.
-    widths = _parse_int_list(args.widths) if args.widths is not None else DEFAULT_WIDTHS
+    widths = args.widths if args.widths is not None else DEFAULTS.widths
     args.widths = None
     config = resolve_train_config(args, file_cfg)
     manifest, bank = _load_inputs(args, file_cfg)
@@ -383,13 +338,14 @@ def cmd_gradcheck(args, file_cfg) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+def _default(key: str) -> str:
+    return f"(default: {value_text(getattr(DEFAULTS, key))})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="master random seed (default: 0)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker cap for extraction/evaluation; results "
-                             "are identical for any value (default: 1)")
+                        help=f"master random seed {_default('seed')}")
     common.add_argument("--config", default=None,
                         help="config file of key=value lines; flags win over it")
 
@@ -414,45 +370,49 @@ def build_parser() -> argparse.ArgumentParser:
     def add_feature_flags(p):
         p.add_argument("--energy", dest="with_energy", default=None,
                        action=argparse.BooleanOptionalAction,
-                       help="append the short-time energy row (default: off)")
+                       help="append the short-time energy row; eval takes it from "
+                            f"the checkpoint's row count instead {_default('with_energy')}")
         p.add_argument("--energy-scale", dest="energy_scale", type=float, default=None,
-                       help="scale factor for the energy row (default: 1.0)")
+                       help=f"scale factor for the energy row {_default('energy_scale')}")
         p.add_argument("--n-freq", dest="n_freq", type=int, default=None,
-                       help="down-sampled frequency rows (default: 52)")
-        p.add_argument("--snrs", default=None,
-                       help="comma-separated corruption SNRs in dB (default: 20,10,0)")
+                       help=f"down-sampled frequency rows {_default('n_freq')}")
+        p.add_argument("--snrs", type=CONFIG_PARSERS["snrs"], default=None,
+                       help=f"comma-separated corruption SNRs in dB {_default('snrs')}")
         p.add_argument("--cache", default=None,
                        help=f"SIF cache directory (default: ${CACHE_ENV} if set)")
 
     def add_train_flags(p):
-        p.add_argument("--widths", default=None,
-                       help="comma-separated filter widths (default: 1,3,5,...,25)")
+        p.add_argument("--widths", type=CONFIG_PARSERS["widths"], default=None,
+                       help=f"comma-separated filter widths {_default('widths')}")
         p.add_argument("--filters", dest="filters_per_width", type=int, default=None,
-                       help="filters per width (default: 100)")
+                       help=f"filters per width {_default('filters_per_width')}")
         p.add_argument("--lr", dest="learning_rate", type=float, default=None,
-                       help="Adam learning rate (default: 0.0001)")
+                       help=f"Adam learning rate {_default('learning_rate')}")
         p.add_argument("--dropout", dest="dropout_rate", type=float, default=None,
-                       help="dropout rate on the pooled vector (default: 0.5)")
+                       help=f"dropout rate on the pooled vector {_default('dropout_rate')}")
         p.add_argument("--l2", dest="l2_lambda", type=float, default=None,
-                       help="L2 regularization strength (default: 0.0001)")
+                       help=f"L2 regularization strength {_default('l2_lambda')}")
         p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                       help="minibatch size (default: 100)")
+                       help=f"minibatch size {_default('batch_size')}")
         p.add_argument("--epochs", type=int, default=None,
-                       help="training epochs (default: 1000 mismatched, 500 multi)")
-        p.add_argument("--regime", choices=("mismatched", "multi"), default=None,
-                       help="training regime (default: mismatched)")
+                       help="training epochs (default: " + ", ".join(
+                           f"{TrainConfig(regime=r).resolved_epochs} {r}" for r in REGIMES) + ")")
+        p.add_argument("--regime", choices=REGIMES, default=None,
+                       help=f"training regime {_default('regime')}")
         p.add_argument("--copies-per-snr", dest="copies_per_snr", type=int, default=None,
-                       help="corrupted copies per SNR per training instance (default: 1)")
+                       help="corrupted copies per SNR per training instance "
+                            f"{_default('copies_per_snr')}")
         p.add_argument("--validate-clean-only", dest="validate_clean_only", default=None,
                        action=argparse.BooleanOptionalAction,
-                       help="score validation on clean audio only "
-                            "(default: off; multi regime validates on all conditions)")
+                       help="score validation on clean audio only; otherwise the multi "
+                            f"regime validates on all conditions {_default('validate_clean_only')}")
         p.add_argument("--regularize-biases", dest="regularize_biases", default=None,
                        action=argparse.BooleanOptionalAction,
-                       help="include biases in the L2 term (default: off)")
-        p.add_argument("--unmasked-pool", dest="unmasked_pool", action="store_true",
+                       help=f"include biases in the L2 term {_default('regularize_biases')}")
+        p.add_argument("--unmasked-pool", dest="masked_pool", action="store_false",
                        default=None,
-                       help="pool over zero-padded positions too (default: masked)")
+                       help="set masked_pool=False: pool over zero-padded positions too "
+                            f"{_default('masked_pool')}")
         p.add_argument("--paper-defaults", action="store_true",
                        help="restore the published hyperparameters over any config file")
 
@@ -524,15 +484,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         file_cfg = load_config_file(args.config) if args.config else {}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read config file: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.func(args, file_cfg)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RUNTIME_ERRORS as exc:

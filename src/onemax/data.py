@@ -27,6 +27,7 @@ from .seeds import derive_seed
 
 MANIFEST_HEADER = "#manifest-v1"
 SPLITS = ("train", "validation", "test")
+REGIMES = ("mismatched", "multi")
 DEFAULT_SNRS = (20.0, 10.0, 0.0)
 
 EVENT_KINDS = ("tone", "chirp_up", "chirp_down", "am_noise", "clicks", "harmonic")
@@ -489,7 +490,7 @@ def build_condition_set(
     from (rng_seed, path, condition, copy), so a given corrupted copy
     is identical across regimes and runs.
     """
-    if regime not in ("mismatched", "multi"):
+    if regime not in REGIMES:
         raise ValueError(f"regime must be 'mismatched' or 'multi', got {regime!r}")
     if copies_per_snr < 1:
         raise ValueError(f"copies_per_snr must be >= 1, got {copies_per_snr}")

@@ -9,8 +9,10 @@ checks downstream stay meaningful.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -210,8 +212,16 @@ def write_sif(sif: Sif, path) -> None:
         "<IIB", sif.n_rows, sif.n_frames, 1 if sif.has_energy else 0
     )
     body = np.ascontiguousarray(sif.values.T, dtype="<f8").tobytes()
-    with open(path, "wb") as f:
-        f.write(header + body)
+    # written beside the target and renamed over it, so a reader never sees
+    # a partial file under the final name
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(header + body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_sif(path) -> Sif:

@@ -144,7 +144,6 @@ class ForwardTrace:
     """Intermediate values of one forward pass, kept for the backward pass."""
 
     pre_relu: list[np.ndarray] = field(repr=False)   # per group [P, L_q]
-    post_relu: list[np.ndarray] = field(repr=False)  # per group [P, L_q]
     argmax: list[np.ndarray]                         # per group [P] positions
     pooled: np.ndarray                               # [P*Q], post-ReLU maxima
     dropout_mask: np.ndarray | None                  # [P*Q] of {0,1}, train mode only
@@ -222,43 +221,6 @@ def init_params(
     )
 
 
-def conv_time_valid(sif: np.ndarray, filter_weights: np.ndarray, bias: float) -> np.ndarray:
-    """Valid time-only correlation of one filter, plus bias, through ReLU.
-
-    a[i] = max(0, bias + sum_{k,l} sif[k, i+l] * filter_weights[k, l])
-    for i = 0 .. T - w. No kernel flip.
-    """
-    sif = np.asarray(sif, dtype=np.float64)
-    filter_weights = np.asarray(filter_weights, dtype=np.float64)
-    if sif.ndim != 2 or filter_weights.ndim != 2:
-        raise ValueError("sif and filter_weights must both be 2-d")
-    if sif.shape[0] != filter_weights.shape[0]:
-        raise ValueError(
-            f"row mismatch: input has {sif.shape[0]} rows, filter has {filter_weights.shape[0]}"
-        )
-    w = filter_weights.shape[1]
-    if sif.shape[1] < w:
-        raise ValueError(f"input has {sif.shape[1]} columns, shorter than filter width {w}")
-    windows = np.lib.stride_tricks.sliding_window_view(sif, (sif.shape[0], w))[0]
-    pre = np.einsum("lkw,kw->l", windows, filter_weights) + bias
-    return np.maximum(pre, 0.0)
-
-
-def one_max_pool(feature_map: np.ndarray, valid_len: int) -> tuple[float, int]:
-    """Max over feature_map[:valid_len] and the earliest index attaining it.
-
-    Positions at or beyond valid_len come from zero-padding and are never
-    pooled.
-    """
-    feature_map = np.asarray(feature_map, dtype=np.float64)
-    if not 1 <= valid_len <= len(feature_map):
-        raise ValueError(
-            f"valid_len must be in [1, {len(feature_map)}], got {valid_len}"
-        )
-    idx = int(np.argmax(feature_map[:valid_len]))
-    return float(feature_map[idx]), idx
-
-
 def pad_to_min(sif: np.ndarray, min_cols: int) -> tuple[np.ndarray, int]:
     """Right-pad with zero columns up to min_cols; true_len records the original width."""
     sif = np.asarray(sif, dtype=np.float64)
@@ -318,7 +280,7 @@ def forward(
         content = np.ascontiguousarray(
             sif[:, : max(true_len, max(params.bank.widths))]
         )
-    pre_list, post_list, argmax_list, pooled_parts = [], [], [], []
+    pre_list, argmax_list, pooled_parts = [], [], []
     for q, w in enumerate(params.bank.widths):
         source = content[:, : max(true_len, w)] if masked else sif
         windows = np.lib.stride_tricks.sliding_window_view(source, (sif.shape[0], w))[0]
@@ -328,7 +290,6 @@ def forward(
         idx = post.argmax(axis=1)
         pooled_parts.append(post[np.arange(post.shape[0]), idx])
         pre_list.append(pre)
-        post_list.append(post)
         argmax_list.append(idx)
 
     pooled = np.concatenate(pooled_parts)
@@ -349,7 +310,6 @@ def forward(
 
     return ForwardTrace(
         pre_relu=pre_list,
-        post_relu=post_list,
         argmax=argmax_list,
         pooled=pooled,
         dropout_mask=mask,

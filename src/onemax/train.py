@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .data import (
     DEFAULT_SNRS,
     Manifest,
     NoiseBank,
+    REGIMES,
     Sample,
     build_condition_set,
     make_batches,
@@ -74,7 +75,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs is not None and self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.regime not in ("mismatched", "multi"):
+        if self.regime not in REGIMES:
             raise ValueError(f"regime must be 'mismatched' or 'multi', got {self.regime!r}")
         if self.n_freq < 1:
             raise ValueError("n_freq must be >= 1")
@@ -93,6 +94,43 @@ class TrainConfig:
 
     def with_overrides(self, **kwargs) -> "TrainConfig":
         return replace(self, **kwargs)
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_tuple(item):
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(",")) if text.strip() else ()
+    parse.__name__ = f"{item.__name__} list"  # argparse names the type in its errors
+    return parse
+
+
+# Text parser for each TrainConfig field type; config files and flags use it,
+# and it reads back what config_text writes.
+_PARSERS = {
+    "tuple[int, ...]": _parse_tuple(int),
+    "tuple[float, ...]": _parse_tuple(float),
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+}
+CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
+
+
+def value_text(value) -> str:
+    """The config_text form of one field value: tuples comma-joined, floats in them as %g."""
+    if isinstance(value, tuple):
+        return ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+    return str(value)
 
 
 @dataclass
@@ -145,12 +183,17 @@ def accuracy_table(test_acc: dict[str, float], mean_acc: float) -> str:
 
 
 def feature_digest(config: TrainConfig, sample: Sample) -> str:
-    """Cache filename stem for one (sample, feature-config) pairing."""
+    """Cache filename stem for one (sample, feature-config) pairing.
+
+    It keys on the sample's mix seed, not the master seed: a corrupted
+    copy's noise draw follows the seed, a clean clip does not, so one
+    clean entry serves every seed.
+    """
     key = "|".join(
         str(x)
         for x in (
             sample.cache_key,
-            config.seed,
+            sample.mix_seed,
             config.n_freq,
             config.with_energy,
             config.energy_scale,
@@ -160,6 +203,20 @@ def feature_digest(config: TrainConfig, sample: Sample) -> str:
         )
     )
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
+
+
+def read_cached(path) -> np.ndarray | None:
+    """The features cached at path; None when there is no readable entry.
+
+    An entry cut short by a killed writer counts as a miss, so the caller
+    extracts and rewrites it.
+    """
+    if path is None or not path.exists():
+        return None
+    try:
+        return dsp.read_sif(path).values
+    except dsp.SifFormatError:
+        return None
 
 
 def extract_features(
@@ -176,8 +233,9 @@ def extract_features(
     out = []
     for sample in samples:
         path = cache / f"{feature_digest(config, sample)}.sif" if cache is not None else None
-        if path is not None and path.exists():
-            out.append(dsp.read_sif(path).values)
+        cached = read_cached(path)
+        if cached is not None:
+            out.append(cached)
             continue
         wave = resolve_sample(sample, manifest, bank)
         sif = dsp.extract_sif(
@@ -404,24 +462,7 @@ def sweep_tsv(rows: list[dict]) -> str:
 
 
 def config_text(config: TrainConfig) -> str:
-    """Human-readable key=value dump of every resolved setting."""
-    pairs = [
-        ("widths", ",".join(str(w) for w in config.widths)),
-        ("filters_per_width", config.filters_per_width),
-        ("learning_rate", config.learning_rate),
-        ("dropout_rate", config.dropout_rate),
-        ("l2_lambda", config.l2_lambda),
-        ("batch_size", config.batch_size),
-        ("epochs", config.resolved_epochs),
-        ("seed", config.seed),
-        ("regime", config.regime),
-        ("with_energy", config.with_energy),
-        ("energy_scale", config.energy_scale),
-        ("n_freq", config.n_freq),
-        ("masked_pool", config.masked_pool),
-        ("regularize_biases", config.regularize_biases),
-        ("snrs", ",".join(f"{s:g}" for s in config.snrs)),
-        ("copies_per_snr", config.copies_per_snr),
-        ("validate_clean_only", config.validate_clean_only),
-    ]
-    return "\n".join(f"{k}={v}" for k, v in pairs)
+    """key=value dump of every TrainConfig field, with epochs resolved."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    values["epochs"] = config.resolved_epochs
+    return "\n".join(f"{k}={value_text(v)}" for k, v in values.items())

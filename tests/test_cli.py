@@ -1,11 +1,21 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from onemax.cli import CACHE_ENV, load_config_file, main
+from onemax.cli import (
+    CACHE_ENV,
+    CONFIG_KEYS,
+    HYPERPARAM_KEYS,
+    build_parser,
+    load_config_file,
+    main,
+    resolve_train_config,
+)
 from onemax.dsp import read_sif
 from onemax.model import load_checkpoint
+from onemax.train import TrainConfig, config_text, value_text
 
 SEED = ["--seed", "5"]
 TINY_TRAIN = ["--widths", "1,3", "--filters", "2", "--batch-size", "8", "--epochs", "2"]
@@ -44,7 +54,20 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_help_shows_real_defaults(capsys):
+# the flag that sets each TrainConfig field
+FIELD_FLAGS = {
+    "widths": "--widths", "filters_per_width": "--filters", "learning_rate": "--lr",
+    "dropout_rate": "--dropout", "l2_lambda": "--l2", "batch_size": "--batch-size",
+    "epochs": "--epochs", "seed": "--seed", "regime": "--regime",
+    "with_energy": "--energy", "energy_scale": "--energy-scale", "n_freq": "--n-freq",
+    "masked_pool": "--unmasked-pool", "regularize_biases": "--regularize-biases",
+    "snrs": "--snrs", "copies_per_snr": "--copies-per-snr",
+    "validate_clean_only": "--validate-clean-only",
+}
+
+
+def test_help_shows_real_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # one help entry per option, unwrapped
     with pytest.raises(SystemExit) as exc:
         main(["train", "--help"])
     assert exc.value.code == 0
@@ -54,6 +77,14 @@ def test_help_shows_real_defaults(capsys):
     assert "0.5" in text         # dropout
     assert "1000 mismatched, 500 multi" in text
 
+    entries = text.split("\n  -")
+    defaults = TrainConfig()
+    assert set(FIELD_FLAGS) == {f.name for f in fields(TrainConfig)}
+    for name, flag in FIELD_FLAGS.items():
+        [entry] = [e for e in entries if e.split()[0].rstrip(",") == flag[1:]]
+        value = defaults.resolved_epochs if name == "epochs" else getattr(defaults, name)
+        assert f"(default: {value_text(value)}" in entry, (flag, entry)
+
 
 # --- synth --------------------------------------------------------------------------
 
@@ -61,6 +92,12 @@ def test_synth_requires_out(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth"])
     assert exc.value.code == 2
+
+
+def test_synth_one_class_is_usage_error(tmp_path, capsys):
+    code, _, stderr = run(capsys, ["synth", "--out", str(tmp_path / "c"), "--classes", "1"])
+    assert code == 2
+    assert "2 classes" in stderr
 
 
 def test_synth_reports_and_writes(corpus_dir, capsys):
@@ -108,6 +145,20 @@ def test_extract_skips_cached_files(corpus_dir, tmp_path, capsys):
     assert code == 0
     assert stdout.count("skip (cached):") == 18 * 4
     assert "wrote:" not in stdout
+
+
+def test_extract_rewrites_truncated_cache_entry(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "sifs"
+    argv = ["extract", "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--out", str(out), "--snrs", "", *SEED]
+    assert run(capsys, argv)[0] == 0
+    victim = sorted(out.glob("*.sif"))[0]
+    whole = victim.read_bytes()
+    victim.write_bytes(whole[: len(whole) // 2])
+    code, stdout, _ = run(capsys, argv)
+    assert code == 0
+    assert stdout.count("wrote:") == 1
+    assert victim.read_bytes() == whole
 
 
 def test_extract_energy_row(corpus_dir, tmp_path, capsys):
@@ -191,6 +242,21 @@ def test_train_rejects_bad_dropout_before_touching_disk(corpus_dir, tmp_path, ca
     assert not out.exists()
 
 
+def test_train_without_validation_records_is_data_error(corpus_dir, tmp_path, capsys):
+    lines = (corpus_dir / "manifest.tsv").read_text().splitlines()
+    kept = [line for line in lines if "\tvalidation\t" not in line]
+    assert len(kept) < len(lines)
+    manifest = corpus_dir / "no-validation.tsv"
+    manifest.write_text("\n".join(kept) + "\n")
+    out = tmp_path / "m.1max"
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", str(manifest), "--out", str(out), *TINY_TRAIN, *SEED,
+    ])
+    assert code == 1
+    assert "validation" in stderr
+    assert not out.exists()
+
+
 def test_train_missing_manifest_is_runtime_error(tmp_path, capsys):
     code, _, stderr = run(capsys, [
         "train", "--manifest", str(tmp_path / "nope.tsv"), "--out",
@@ -249,6 +315,37 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "learning_rte" in stderr
+
+
+def test_config_keys_are_the_train_config_fields():
+    names = {f.name for f in fields(TrainConfig)}
+    assert CONFIG_KEYS == names | {"cache"}
+    assert HYPERPARAM_KEYS <= names
+
+
+def test_config_text_reads_back_as_a_config_file(tmp_path):
+    cfg = TrainConfig(
+        widths=(2, 5), filters_per_width=7, learning_rate=0.003, dropout_rate=0.25,
+        l2_lambda=0.0, batch_size=3, epochs=9, seed=4, regime="multi", with_energy=True,
+        energy_scale=2.5, n_freq=40, masked_pool=False, regularize_biases=True,
+        snrs=(15.0, 5.0, -5.0), copies_per_snr=2, validate_clean_only=True,
+    )
+    defaults = TrainConfig()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(cfg))
+    path = tmp_path / "run.cfg"
+    path.write_text(config_text(cfg) + "\n")
+    args = build_parser().parse_args(["train", "--config", str(path)])
+    assert resolve_train_config(args, load_config_file(path)) == cfg
+
+
+def test_bad_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("widths = 1,x\n")
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", "whatever.tsv", "--out", "m.1max", "--config", str(cfg),
+    ])
+    assert code == 2
+    assert "widths" in stderr
 
 
 def test_load_config_file_parses_comments_and_spaces(tmp_path):
@@ -317,10 +414,21 @@ def test_eval_infers_energy_row_from_checkpoint(corpus_dir, tmp_path, capsys):
     ])
     assert code == 0
     assert load_checkpoint(out).input_rows == 53
-    # no --energy flag here: the 53-row checkpoint implies it
+    # the 53-row checkpoint implies the energy row, whatever the flag says
+    for flag in ([], ["--no-energy"]):
+        code, stdout, _ = run(capsys, [
+            "eval", "--ckpt", str(out),
+            "--manifest", str(corpus_dir / "manifest.tsv"), *flag, *SEED,
+        ])
+        assert code == 0
+        assert "clean" in stdout
+
+
+def test_eval_takes_no_energy_row_from_checkpoint(corpus_dir, cache_dir, trained_checkpoint,
+                                                  capsys):
     code, stdout, _ = run(capsys, [
-        "eval", "--ckpt", str(out),
-        "--manifest", str(corpus_dir / "manifest.tsv"), *SEED,
+        "eval", "--ckpt", str(trained_checkpoint), "--energy",
+        "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir), *SEED,
     ])
     assert code == 0
     assert "clean" in stdout

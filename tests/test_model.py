@@ -10,20 +10,55 @@ from onemax.model import (
     ModelParams,
     SoftmaxParams,
     backward,
-    conv_time_valid,
     finite_difference_gradients,
     forward,
     init_params,
     load_checkpoint,
     loss,
-    one_max_pool,
     pad_to_min,
     save_checkpoint,
 )
 from onemax.optim import fnv1a
 
 
-# --- independent oracle -------------------------------------------------------
+# --- independent oracles -----------------------------------------------------
+
+def conv_time_valid(sif: np.ndarray, filter_weights: np.ndarray, bias: float) -> np.ndarray:
+    """Valid time-only correlation of one filter, plus bias, through ReLU.
+
+    a[i] = max(0, bias + sum_{k,l} sif[k, i+l] * filter_weights[k, l])
+    for i = 0 .. T - w. No kernel flip.
+    """
+    sif = np.asarray(sif, dtype=np.float64)
+    filter_weights = np.asarray(filter_weights, dtype=np.float64)
+    if sif.ndim != 2 or filter_weights.ndim != 2:
+        raise ValueError("sif and filter_weights must both be 2-d")
+    if sif.shape[0] != filter_weights.shape[0]:
+        raise ValueError(
+            f"row mismatch: input has {sif.shape[0]} rows, filter has {filter_weights.shape[0]}"
+        )
+    w = filter_weights.shape[1]
+    if sif.shape[1] < w:
+        raise ValueError(f"input has {sif.shape[1]} columns, shorter than filter width {w}")
+    windows = np.lib.stride_tricks.sliding_window_view(sif, (sif.shape[0], w))[0]
+    pre = np.einsum("lkw,kw->l", windows, filter_weights) + bias
+    return np.maximum(pre, 0.0)
+
+
+def one_max_pool(feature_map: np.ndarray, valid_len: int) -> tuple[float, int]:
+    """Max over feature_map[:valid_len] and the earliest index attaining it.
+
+    Positions at or beyond valid_len come from zero-padding and are never
+    pooled.
+    """
+    feature_map = np.asarray(feature_map, dtype=np.float64)
+    if not 1 <= valid_len <= len(feature_map):
+        raise ValueError(
+            f"valid_len must be in [1, {len(feature_map)}], got {valid_len}"
+        )
+    idx = int(np.argmax(feature_map[:valid_len]))
+    return float(feature_map[idx]), idx
+
 
 def brute_force_conv(sif, weights, bias):
     """Triple-loop correlation + ReLU, straight from the definition."""
@@ -163,7 +198,9 @@ def test_forward_matches_conv_op_per_filter():
             expected = conv_time_valid(
                 sif, params.bank.weights[q][p], float(params.bank.biases[q][p])
             )
-            np.testing.assert_allclose(trace.post_relu[q][p], expected, atol=1e-12)
+            np.testing.assert_allclose(
+                np.maximum(trace.pre_relu[q][p], 0.0), expected, atol=1e-12
+            )
 
 
 def test_probabilities_sum_to_one():

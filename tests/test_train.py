@@ -298,6 +298,35 @@ def test_feature_digest_keys_on_feature_settings(tiny_corpus):
     assert feature_digest(cfg.with_overrides(epochs=9), sample) == base
 
 
+def test_feature_digest_keys_clean_clips_without_the_seed(tiny_corpus):
+    manifest, bank, _ = tiny_corpus
+    a, b = (build_condition_set(manifest, bank, "multi", seed).train for seed in (1, 2))
+    pairs = list(zip(a, b))
+    assert all(x.cache_key == y.cache_key for x, y in pairs)
+    assert {x.condition for x, _ in pairs} == {"clean", "snr20", "snr10", "snr0"}
+    for x, y in pairs:
+        same = feature_digest(TrainConfig(seed=1), x) == feature_digest(TrainConfig(seed=2), y)
+        # a corrupted copy's noise draw follows the seed; a clean clip's audio does not
+        assert same == (x.condition == "clean")
+
+
+def test_truncated_cache_entry_is_a_miss(tiny_corpus, tmp_path):
+    manifest, bank, _ = tiny_corpus
+    cfg = TrainConfig(**TINY)
+    samples = build_condition_set(manifest, bank, "multi", cfg.seed).train[:6]
+    cache = tmp_path / "c"
+    extract_features(samples, manifest, bank, cfg, cache_dir=cache)
+    victim = cache / f"{feature_digest(cfg, samples[3])}.sif"
+    victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+    direct = extract_features(samples, manifest, bank, cfg, cache_dir=None)
+    again = extract_features(samples, manifest, bank, cfg, cache_dir=cache)
+    for d, c in zip(direct, again):
+        assert d.shape == c.shape and d.tobytes() == c.tobytes()
+    # the entry was rewritten whole, and no temporary file is left behind
+    assert dsp.read_sif(victim).values.tobytes() == direct[3].tobytes()
+    assert sorted(p.suffix for p in cache.iterdir()) == [".sif"] * 6
+
+
 # --- reporting -------------------------------------------------------------------------
 
 def test_epoch_lines_are_json_with_exact_keys(tiny_corpus, sif_cache):

@@ -43,7 +43,7 @@ assert drift == 0.0
 
 # The pooled vector is also blind to how much padding follows the event.
 # A 25-frame clip and the same clip padded out to 300 frames produce the
-# same bits, because pooling is masked to the true length.
+# same bits, because pooling stops at the true length.
 clip = rng.uniform(0.0, 2.0, size=(rows, 25))
 padded = np.zeros((rows, 300))
 padded[:, :25] = clip

@@ -56,7 +56,6 @@ from .optim import (
     save_adam_state,
 )
 from .data import (
-    Batch,
     ConditionSet,
     DEFAULT_SNRS,
     Manifest,
@@ -79,13 +78,14 @@ from .data import (
     write_manifest,
     write_wav,
 )
+# the train() function stays in onemax.train: exported here, it would
+# shadow that submodule as the package attribute
 from .train import (
     DEFAULT_WIDTHS,
     TrainConfig,
     TrainReport,
     evaluate,
     extract_features,
-    train,
     width_sweep,
 )
 from .seeds import derive_seed

@@ -107,7 +107,13 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def _given(args, file_cfg: dict[str, str]) -> dict:
-    """The TrainConfig fields set by a flag or, failing that, by the config file."""
+    """The TrainConfig fields set by a flag or, failing that, by the config file.
+
+    --paper-defaults hides the file's hyperparameters, so they fall back to
+    the built-in defaults.
+    """
+    if getattr(args, "paper_defaults", False):
+        file_cfg = {k: v for k, v in file_cfg.items() if k not in HYPERPARAM_KEYS}
     values = {}
     for key, parse in CONFIG_PARSERS.items():
         flag_value = getattr(args, key, None)
@@ -127,8 +133,6 @@ def resolve_seed(args, file_cfg: dict[str, str]) -> int:
 
 def resolve_train_config(args, file_cfg: dict[str, str]) -> TrainConfig:
     """Apply precedence defaults < config file < flags and validate."""
-    if getattr(args, "paper_defaults", False):
-        file_cfg = {k: v for k, v in file_cfg.items() if k not in HYPERPARAM_KEYS}
     return _build(TrainConfig, **_given(args, file_cfg))
 
 
@@ -271,11 +275,13 @@ def cmd_eval(args, file_cfg) -> int:
 
 
 def cmd_sweep(args, file_cfg) -> int:
-    # --widths names the widths to sweep, one single-width model each; it is
-    # not a width tuple for the base config, so a bad entry must surface as a
-    # failed sweep row rather than a usage error.
-    widths = args.widths if args.widths is not None else DEFAULTS.widths
+    # widths (flag > config file > default) names the widths to sweep, one
+    # single-width model each; it is not a width tuple for the base config,
+    # so a bad entry must surface as a failed sweep row rather than a usage
+    # error.
+    widths = _given(args, file_cfg).get("widths", DEFAULTS.widths)
     args.widths = None
+    file_cfg = {k: v for k, v in file_cfg.items() if k != "widths"}
     config = resolve_train_config(args, file_cfg)
     manifest, bank = _load_inputs(args, file_cfg)
     cache_dir = resolve_cache_dir(args, file_cfg)
@@ -409,10 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--regularize-biases", dest="regularize_biases", default=None,
                        action=argparse.BooleanOptionalAction,
                        help=f"include biases in the L2 term {_default('regularize_biases')}")
-        p.add_argument("--unmasked-pool", dest="masked_pool", action="store_false",
-                       default=None,
-                       help="set masked_pool=False: pool over zero-padded positions too "
-                            f"{_default('masked_pool')}")
         p.add_argument("--paper-defaults", action="store_true",
                        help="restore the published hyperparameters over any config file")
 

@@ -108,7 +108,11 @@ class ManifestRecord:
 
 @dataclass
 class Manifest:
-    """Record list plus the directory its relative paths resolve against."""
+    """Record list plus the directory its relative paths resolve against.
+
+    The label-to-class table is built once here, so records must not be
+    changed after construction.
+    """
 
     records: list[ManifestRecord]
     root: Path
@@ -121,22 +125,23 @@ class Manifest:
             if key in seen:
                 raise ValueError(f"duplicate (path, condition) record: {key}")
             seen.add(key)
+        labels = sorted({rec.label for rec in self.records})
+        self._class_of = {label: i for i, label in enumerate(labels)}
 
     @property
     def label_table(self) -> list[str]:
         """Sorted unique labels; index in this list is the class index."""
-        return sorted({rec.label for rec in self.records})
+        return list(self._class_of)
 
     def class_index(self, label: str) -> int:
-        table = self.label_table
         try:
-            return table.index(label)
-        except ValueError:
+            return self._class_of[label]
+        except KeyError:
             raise KeyError(f"label {label!r} not in manifest") from None
 
     @property
     def n_classes(self) -> int:
-        return len(self.label_table)
+        return len(self._class_of)
 
     def by_split(self, split: str) -> list[ManifestRecord]:
         if split not in SPLITS:
@@ -546,58 +551,17 @@ def resolve_sample(sample: Sample, manifest: Manifest, bank: NoiseBank | None) -
 
 
 # ---------------------------------------------------------------------------
-# Batching
+# Minibatches
 
-@dataclass
-class Batch:
-    """Zero-padded SIF tensor with per-sample true lengths and class labels."""
+def make_batches(n: int, batch_size: int, shuffle_seed: int) -> list[np.ndarray]:
+    """Shuffle dataset positions 0..n-1 and split them into batches of indices.
 
-    sifs: np.ndarray       # [batch, rows, max_T]
-    true_lens: np.ndarray  # [batch]
-    labels: np.ndarray     # [batch]
-    indices: np.ndarray    # [batch] positions in the source dataset
-
-    def __len__(self) -> int:
-        return self.sifs.shape[0]
-
-
-def make_batches(
-    sifs: list[np.ndarray],
-    labels,
-    batch_size: int,
-    min_cols: int,
-    shuffle_seed: int,
-) -> list[Batch]:
-    """Shuffle, then group into batches padded to max(true lengths, min_cols).
-
-    The final short batch is kept. Each Batch records the original dataset
-    index of every row, so per-sample seeds can be tied to stable identities.
+    The final short batch is kept. Indices are original dataset positions,
+    so per-sample seeds can be tied to stable identities.
     """
-    if not sifs:
+    if n < 1:
         raise ValueError("cannot batch an empty dataset")
-    if len(sifs) != len(labels):
-        raise ValueError(f"{len(sifs)} feature matrices but {len(labels)} labels")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rows = sifs[0].shape[0]
-    for i, s in enumerate(sifs):
-        if s.ndim != 2 or s.shape[0] != rows:
-            raise ValueError(f"feature matrix {i} has shape {s.shape}, expected ({rows}, *)")
-    order = np.random.default_rng(shuffle_seed).permutation(len(sifs))
-    batches = []
-    for start in range(0, len(order), batch_size):
-        idx = order[start : start + batch_size]
-        lens = np.array([sifs[i].shape[1] for i in idx], dtype=np.int64)
-        max_t = max(int(lens.max()), min_cols)
-        tensor = np.zeros((len(idx), rows, max_t))
-        for row, i in enumerate(idx):
-            tensor[row, :, : sifs[i].shape[1]] = sifs[i]
-        batches.append(
-            Batch(
-                sifs=tensor,
-                true_lens=lens,
-                labels=np.array([labels[i] for i in idx], dtype=np.int64),
-                indices=idx.astype(np.int64),
-            )
-        )
-    return batches
+    order = np.random.default_rng(shuffle_seed).permutation(n)
+    return [order[start : start + batch_size] for start in range(0, n, batch_size)]

@@ -241,14 +241,12 @@ def forward(
     mode: str = "eval",
     dropout_rate: float = 0.5,
     rng_seed: int = 0,
-    masked: bool = True,
 ) -> ForwardTrace:
     """One forward pass.
 
     Each width-w group pools over valid_len = max(1, true_len - w + 1)
-    positions (or the whole feature map with masked=False). In masked
-    mode the convolution itself is restricted to the true-length columns
-    rather than computed over the padding and discarded: einsum's
+    positions. The convolution itself is restricted to the true-length
+    columns rather than computed over the padding and discarded: einsum's
     reduction chunking depends on operand extents, so running it over
     the padded width can perturb even the kept positions by an ulp.
     Restricting the operand makes padding-neutrality exact by
@@ -274,16 +272,14 @@ def forward(
             f"({max(params.bank.widths)}); pad with pad_to_min first"
         )
 
-    if masked:
-        # one contiguous copy whose shape and strides depend only on the
-        # true content, never on how far the storage happens to be padded
-        content = np.ascontiguousarray(
-            sif[:, : max(true_len, max(params.bank.widths))]
-        )
+    # one contiguous copy whose shape and strides depend only on the
+    # true content, never on how far the storage happens to be padded
+    content = np.ascontiguousarray(sif[:, : max(true_len, max(params.bank.widths))])
     pre_list, argmax_list, pooled_parts = [], [], []
     for q, w in enumerate(params.bank.widths):
-        source = content[:, : max(true_len, w)] if masked else sif
-        windows = np.lib.stride_tricks.sliding_window_view(source, (sif.shape[0], w))[0]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            content[:, : max(true_len, w)], (sif.shape[0], w)
+        )[0]
         pre = np.einsum("lkw,pkw->pl", windows, params.bank.weights[q])
         pre += params.bank.biases[q][:, None]
         post = np.maximum(pre, 0.0)
@@ -433,7 +429,6 @@ def finite_difference_gradients(
     dropout_rate: float = 0.5,
     rng_seed: int = 0,
     regularize_biases: bool = False,
-    masked: bool = True,
 ) -> list[np.ndarray]:
     """Central finite differences of loss() over every parameter.
 
@@ -446,8 +441,7 @@ def finite_difference_gradients(
 
     def eval_loss() -> float:
         trace = forward(
-            work, sif, true_len, mode=mode,
-            dropout_rate=dropout_rate, rng_seed=rng_seed, masked=masked,
+            work, sif, true_len, mode=mode, dropout_rate=dropout_rate, rng_seed=rng_seed
         )
         return loss(trace, target_class, work, l2_lambda, regularize_biases)
 

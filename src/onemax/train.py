@@ -52,7 +52,6 @@ class TrainConfig:
     with_energy: bool = False
     energy_scale: float = 1.0
     n_freq: int = dsp.N_FREQ
-    masked_pool: bool = True
     regularize_biases: bool = False
     snrs: tuple[float, ...] = DEFAULT_SNRS
     copies_per_snr: int = 1
@@ -250,25 +249,22 @@ def extract_features(
     return out
 
 
-def _accuracy(
-    params: model.ModelParams,
-    sifs: list[np.ndarray],
-    labels: list[int],
-    min_cols: int,
-    masked: bool,
-) -> float:
+def _accuracy(params: model.ModelParams, sifs: list[np.ndarray], labels: list[int]) -> float:
     correct = 0
     for sif, label in zip(sifs, labels):
-        padded, true_len = model.pad_to_min(sif, min_cols)
-        trace = model.forward(params, padded, true_len, mode="eval", masked=masked)
+        padded, true_len = model.pad_to_min(sif, max(params.bank.widths))
+        trace = model.forward(params, padded, true_len, mode="eval")
         correct += int(np.argmax(trace.y_hat)) == label
     return correct / len(sifs)
 
 
-def _check_splits(manifest: Manifest) -> None:
+def _check_manifest(manifest: Manifest) -> None:
+    """Raise the data errors that no width or epoch count can avoid."""
     for split in ("train", "validation", "test"):
         if not manifest.by_split(split):
             raise ValueError(f"manifest has no records in the {split!r} split")
+    if manifest.n_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {manifest.n_classes}")
 
 
 def train(
@@ -286,23 +282,25 @@ def train(
     of the retained model. Bit-deterministic for a fixed (config, corpus).
     """
     t0 = time.monotonic()
-    _check_splits(manifest)
-    if manifest.n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {manifest.n_classes}")
+    _check_manifest(manifest)
 
     cs = build_condition_set(
         manifest, bank, config.regime, config.seed,
         snrs=config.snrs, copies_per_snr=config.copies_per_snr,
         validate_clean_only=config.validate_clean_only,
     )
-    train_sifs = extract_features(cs.train, manifest, bank, config, cache_dir)
+    # each clip padded once, to the widest filter only, so what it pools
+    # over never depends on which clips share its minibatch
+    train_clips = [
+        model.pad_to_min(x, max(config.widths))
+        for x in extract_features(cs.train, manifest, bank, config, cache_dir)
+    ]
     train_labels = [s.class_index for s in cs.train]
     val_sifs = extract_features(cs.validation, manifest, bank, config, cache_dir)
     val_labels = [s.class_index for s in cs.validation]
     if not val_sifs:
         raise ValueError("validation split is empty")
 
-    min_cols = max(config.widths)
     params = model.init_params(
         n_classes=manifest.n_classes,
         input_rows=config.input_rows,
@@ -312,7 +310,7 @@ def train(
     )
     state = adam_init(params.blocks(), alpha=config.learning_rate)
 
-    val_curve = [_accuracy(params, val_sifs, val_labels, min_cols, config.masked_pool)]
+    val_curve = [_accuracy(params, val_sifs, val_labels)]
     best_params = params.copy()
     best_acc = val_curve[0]
     best_epoch = 0
@@ -320,7 +318,7 @@ def train(
 
     for epoch in range(1, config.resolved_epochs + 1):
         batches = make_batches(
-            train_sifs, train_labels, config.batch_size, min_cols,
+            len(train_clips), config.batch_size,
             shuffle_seed=derive_seed(config.seed, "shuffle", epoch),
         )
         epoch_ce = 0.0
@@ -328,15 +326,13 @@ def train(
         for b, batch in enumerate(batches):
             grad_sum = None
             batch_ce = 0.0
-            for j in range(len(batch)):
-                sif = batch.sifs[j]
-                true_len = int(batch.true_lens[j])
-                target = int(batch.labels[j])
+            for i in batch.tolist():
+                sif, true_len = train_clips[i]
+                target = train_labels[i]
                 trace = model.forward(
                     params, sif, true_len, mode="train",
                     dropout_rate=config.dropout_rate,
-                    rng_seed=derive_seed(config.seed, "dropout", epoch, int(batch.indices[j])),
-                    masked=config.masked_pool,
+                    rng_seed=derive_seed(config.seed, "dropout", epoch, i),
                 )
                 batch_ce += model.loss(trace, target, params, 0.0)
                 grads = model.backward(
@@ -364,10 +360,10 @@ def train(
                 ) from exc
             epoch_ce += batch_ce
             epoch_reg += reg * n
-        n_train = len(train_sifs)
+        n_train = len(train_clips)
         loss_curve.append(epoch_ce / n_train + epoch_reg / n_train)
 
-        acc = _accuracy(params, val_sifs, val_labels, min_cols, config.masked_pool)
+        acc = _accuracy(params, val_sifs, val_labels)
         val_curve.append(acc)
         if acc > best_acc:
             best_acc = acc
@@ -399,7 +395,7 @@ def evaluate(
 
     Returned dict preserves condition order and ends with a "mean" entry.
     """
-    _check_splits(manifest)
+    _check_manifest(manifest)
     if params.n_classes != manifest.n_classes:
         raise ValueError(
             f"checkpoint has {params.n_classes} classes, manifest has {manifest.n_classes}"
@@ -414,12 +410,11 @@ def evaluate(
         snrs=config.snrs, copies_per_snr=config.copies_per_snr,
         validate_clean_only=config.validate_clean_only,
     )
-    min_cols = max(params.bank.widths)
     out: dict[str, float] = {}
     for condition, samples in cs.test.items():
         sifs = extract_features(samples, manifest, bank, config, cache_dir)
         labels = [s.class_index for s in samples]
-        out[condition] = _accuracy(params, sifs, labels, min_cols, config.masked_pool)
+        out[condition] = _accuracy(params, sifs, labels)
     out["mean"] = float(np.mean([v for v in out.values()]))
     return out
 
@@ -433,9 +428,11 @@ def width_sweep(
 ) -> list[dict]:
     """Train one single-width model per width; report per-condition accuracy.
 
+    A manifest-wide data error raises once, before any width is trained.
     A failed width is recorded with its error message and the sweep
     continues. Each row: {"width": w, "accuracy": {...}, "error": None}.
     """
+    _check_manifest(manifest)
     rows = []
     for w in widths_list:
         try:

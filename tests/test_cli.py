@@ -60,7 +60,7 @@ FIELD_FLAGS = {
     "dropout_rate": "--dropout", "l2_lambda": "--l2", "batch_size": "--batch-size",
     "epochs": "--epochs", "seed": "--seed", "regime": "--regime",
     "with_energy": "--energy", "energy_scale": "--energy-scale", "n_freq": "--n-freq",
-    "masked_pool": "--unmasked-pool", "regularize_biases": "--regularize-biases",
+    "regularize_biases": "--regularize-biases",
     "snrs": "--snrs", "copies_per_snr": "--copies-per-snr",
     "validate_clean_only": "--validate-clean-only",
 }
@@ -317,6 +317,19 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "learning_rte" in stderr
 
 
+def test_retired_masked_pool_key_is_usage_error(tmp_path, capsys):
+    # pooling always stops at the clip's true length; the key that could
+    # turn that off is gone, and an old config file naming it fails loudly
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("masked_pool = False\n")
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", "whatever.tsv", "--out", "m.1max",
+        "--config", str(cfg),
+    ])
+    assert code == 2
+    assert "masked_pool" in stderr
+
+
 def test_config_keys_are_the_train_config_fields():
     names = {f.name for f in fields(TrainConfig)}
     assert CONFIG_KEYS == names | {"cache"}
@@ -327,7 +340,7 @@ def test_config_text_reads_back_as_a_config_file(tmp_path):
     cfg = TrainConfig(
         widths=(2, 5), filters_per_width=7, learning_rate=0.003, dropout_rate=0.25,
         l2_lambda=0.0, batch_size=3, epochs=9, seed=4, regime="multi", with_energy=True,
-        energy_scale=2.5, n_freq=40, masked_pool=False, regularize_biases=True,
+        energy_scale=2.5, n_freq=40, regularize_biases=True,
         snrs=(15.0, 5.0, -5.0), copies_per_snr=2, validate_clean_only=True,
     )
     defaults = TrainConfig()
@@ -448,6 +461,31 @@ def test_sweep_writes_tsv(corpus_dir, cache_dir, tmp_path, capsys):
     assert lines[0] == "width\tcondition\taccuracy"
     assert len(lines) == 1 + 2 * 5
     assert {line.split("\t")[0] for line in lines[1:]} == {"1", "3"}
+
+
+def test_sweep_takes_widths_from_config_file(corpus_dir, cache_dir, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("widths = 1,3\n")
+    code, stdout, _ = run(capsys, [
+        "sweep", "--manifest", str(corpus_dir / "manifest.tsv"), "--config", str(cfg),
+        "--filters", "2", "--batch-size", "8", "--epochs", "1", "--cache", str(cache_dir),
+        *SEED,
+    ])
+    assert code == 0
+    assert {line.split("\t")[0] for line in stdout.splitlines()[1:]} == {"1", "3"}
+
+
+def test_sweep_reports_manifest_error_once(corpus_dir, tmp_path, capsys):
+    lines = (corpus_dir / "manifest.tsv").read_text().splitlines()
+    manifest = corpus_dir / "sweep-no-validation.tsv"
+    manifest.write_text("\n".join(l for l in lines if "\tvalidation\t" not in l) + "\n")
+    code, stdout, stderr = run(capsys, [
+        "sweep", "--manifest", str(manifest), "--widths", "1,3", "--filters", "2",
+        "--epochs", "1", *SEED,
+    ])
+    assert code == 1
+    assert stdout == ""
+    assert stderr.splitlines() == ["error: manifest has no records in the 'validation' split"]
 
 
 def test_sweep_reports_failed_width(corpus_dir, cache_dir, capsys):

@@ -486,59 +486,26 @@ def test_resolve_sample_clean_and_corrupted(tiny_corpus):
 
 # --- batching ----------------------------------------------------------------------
 
-def toy_sifs(lens, rows=4, seed=0):
-    rng = np.random.default_rng(seed)
-    return [rng.uniform(size=(rows, t)) for t in lens]
-
-
 def test_make_batches_sizes_and_final_short_batch():
-    sifs = toy_sifs([5, 6, 7, 8, 9, 10, 11])
-    labels = list(range(7))
-    batches = make_batches(sifs, labels, batch_size=3, min_cols=1, shuffle_seed=0)
+    batches = make_batches(7, batch_size=3, shuffle_seed=0)
     assert [len(b) for b in batches] == [3, 3, 1]
-    seen = np.concatenate([b.indices for b in batches])
+    seen = np.concatenate(batches)
     assert sorted(seen.tolist()) == list(range(7))
 
 
-def test_make_batches_pads_with_zeros_to_min_cols():
-    sifs = toy_sifs([5, 7])
-    batches = make_batches(sifs, [0, 1], batch_size=2, min_cols=25, shuffle_seed=1)
-    (batch,) = batches
-    assert batch.sifs.shape == (2, 4, 25)
-    for row in range(2):
-        true_len = int(batch.true_lens[row])
-        src = sifs[int(batch.indices[row])]
-        np.testing.assert_array_equal(batch.sifs[row, :, :true_len], src)
-        assert np.all(batch.sifs[row, :, true_len:] == 0.0)
-        assert batch.labels[row] == batch.indices[row]
-
-
-def test_make_batches_padding_tracks_longest_item():
-    sifs = toy_sifs([5, 40])
-    (batch,) = make_batches(sifs, [0, 1], batch_size=2, min_cols=25, shuffle_seed=1)
-    assert batch.sifs.shape[2] == 40
-
-
 def test_make_batches_shuffle_deterministic():
-    sifs = toy_sifs([5] * 10)
-    labels = list(range(10))
-    a = make_batches(sifs, labels, 4, 1, shuffle_seed=9)
-    b = make_batches(sifs, labels, 4, 1, shuffle_seed=9)
-    assert [x.indices.tolist() for x in a] == [x.indices.tolist() for x in b]
-    c = make_batches(sifs, labels, 4, 1, shuffle_seed=10)
-    assert [x.indices.tolist() for x in a] != [x.indices.tolist() for x in c]
+    a = make_batches(10, 4, shuffle_seed=9)
+    b = make_batches(10, 4, shuffle_seed=9)
+    assert [x.tolist() for x in a] == [x.tolist() for x in b]
+    c = make_batches(10, 4, shuffle_seed=10)
+    assert [x.tolist() for x in a] != [x.tolist() for x in c]
 
 
 def test_make_batches_validation():
     with pytest.raises(ValueError, match="empty"):
-        make_batches([], [], 2, 1, 0)
-    with pytest.raises(ValueError, match="labels"):
-        make_batches(toy_sifs([5]), [0, 1], 2, 1, 0)
+        make_batches(0, 2, 0)
     with pytest.raises(ValueError, match="batch_size"):
-        make_batches(toy_sifs([5]), [0], 0, 1, 0)
-    ragged = [np.zeros((4, 5)), np.zeros((3, 5))]
-    with pytest.raises(ValueError, match="shape"):
-        make_batches(ragged, [0, 1], 2, 1, 0)
+        make_batches(1, 0, 0)
 
 
 def test_sample_cache_key_distinguishes_copies():

@@ -301,17 +301,6 @@ def test_short_input_pools_single_position():
     assert np.all(trace.argmax[1] == 0)
 
 
-def test_unmasked_pooling_sees_padded_positions():
-    params = small_params(seed=18, widths=(3,), p=2, rows=4, n_classes=2)
-    # negative input makes zero padding the most attractive region
-    sif = np.full((4, 10), -5.0)
-    padded = np.zeros((4, 30))
-    padded[:, :10] = sif
-    masked = forward(params, padded, 10, masked=True)
-    unmasked = forward(params, padded, 10, masked=False)
-    assert not np.array_equal(masked.pooled, unmasked.pooled)
-
-
 def test_forward_validation_errors():
     params = small_params()
     sif = np.ones((8, 10))
@@ -450,15 +439,6 @@ def test_gradients_match_finite_differences_regularized_biases():
     fd = finite_difference_gradients(
         params, sif, 12, 1, 1e-2, regularize_biases=True
     )
-    assert max_rel_error(analytic.arrays(), fd) < 1e-6
-
-
-def test_gradients_match_finite_differences_unmasked():
-    params = small_params(seed=204)
-    sif = np.random.default_rng(205).uniform(0, 2, size=(8, 14))
-    trace = forward(params, sif, 9, masked=False)
-    analytic = backward(params, trace, sif, 3, 0.0)
-    fd = finite_difference_gradients(params, sif, 9, 3, 0.0, masked=False)
     assert max_rel_error(analytic.arrays(), fd) < 1e-6
 
 

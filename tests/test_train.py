@@ -29,6 +29,13 @@ def sif_cache(tmp_path_factory):
     return tmp_path_factory.mktemp("sif-cache")
 
 
+def test_package_attribute_train_is_the_module():
+    import onemax.train as m
+
+    assert type(m).__name__ == "module"
+    assert m.train is train
+
+
 # --- configuration ---------------------------------------------------------------
 
 def test_default_epoch_budgets():

@@ -190,8 +190,7 @@ def cmd_extract(args, file_cfg) -> int:
     index_lines = ["digest\tpath\tcondition\trows\tcols"]
     failures = 0
     for record in manifest.records:
-        record_conditions = conditions if record.condition == "clean" else [record.condition]
-        for condition in record_conditions:
+        for condition in conditions:
             sample = Sample(
                 record=record,
                 condition=condition,

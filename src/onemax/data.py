@@ -90,20 +90,17 @@ def write_wav(path, wave: Waveform) -> int:
 
 @dataclass(frozen=True)
 class ManifestRecord:
-    """One audio file: relative path, class label, split, corruption condition."""
+    """One clean audio event: relative path, class label, split."""
 
     path: str
     label: str
     split: str
-    condition: str = "clean"
-    source_path: str | None = None
 
     def __post_init__(self):
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
         if not self.label:
             raise ValueError("label must be non-empty")
-        condition_snr(self.condition)  # validates the name
 
 
 @dataclass
@@ -121,10 +118,9 @@ class Manifest:
         self.root = Path(self.root)
         seen = set()
         for rec in self.records:
-            key = (rec.path, rec.condition)
-            if key in seen:
-                raise ValueError(f"duplicate (path, condition) record: {key}")
-            seen.add(key)
+            if rec.path in seen:
+                raise ValueError(f"duplicate record for path {rec.path!r}")
+            seen.add(rec.path)
         labels = sorted({rec.label for rec in self.records})
         self._class_of = {label: i for i, label in enumerate(labels)}
 
@@ -175,8 +171,7 @@ def condition_snr(name: str) -> float | None:
 def write_manifest(manifest: Manifest, path) -> None:
     lines = [MANIFEST_HEADER]
     for rec in manifest.records:
-        source = rec.source_path if rec.source_path is not None else "-"
-        lines.append(f"{rec.path}\t{rec.label}\t{rec.split}\t{rec.condition}\t{source}")
+        lines.append(f"{rec.path}\t{rec.label}\t{rec.split}\tclean\t-")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -200,13 +195,14 @@ def read_manifest(path) -> Manifest:
                 f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}"
             )
         rel, label, split, condition, source = fields
-        try:
-            records.append(
-                ManifestRecord(
-                    path=rel, label=label, split=split, condition=condition,
-                    source_path=None if source == "-" else source,
-                )
+        # corrupted copies are derived from clean events at run time, never listed
+        if (condition, source) != ("clean", "-"):
+            raise ManifestFormatError(
+                f"{path}:{lineno}: condition and source must be 'clean' and '-', "
+                f"got {condition!r} and {source!r}"
             )
+        try:
+            records.append(ManifestRecord(path=rel, label=label, split=split))
         except ValueError as exc:
             raise ManifestFormatError(f"{path}:{lineno}: {exc}") from exc
     try:

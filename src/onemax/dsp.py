@@ -9,12 +9,12 @@ checks downstream stay meaningful.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .container import Reader, write_atomic
 
 SAMPLE_RATE = 16000        # Hz
 WINDOW_LEN = 1600          # 100 ms at 16 kHz
@@ -212,34 +212,16 @@ def write_sif(sif: Sif, path) -> None:
         "<IIB", sif.n_rows, sif.n_frames, 1 if sif.has_energy else 0
     )
     body = np.ascontiguousarray(sif.values.T, dtype="<f8").tobytes()
-    # written beside the target and renamed over it, so a reader never sees
-    # a partial file under the final name
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(header + body)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, header + body)
 
 
 def read_sif(path) -> Sif:
     """Read a .sif file written by write_sif; round-trips bit-exactly."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    header_len = len(SIF_MAGIC) + 9
-    if len(raw) < header_len:
-        raise SifFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    if raw[:4] != SIF_MAGIC:
-        raise SifFormatError(f"{path}: bad magic {raw[:4]!r}")
-    n_rows, n_cols, energy_flag = struct.unpack("<IIB", raw[4:header_len])
+    r = Reader(path, SIF_MAGIC, SifFormatError)
+    n_rows, n_cols, energy_flag = r.unpack("<IIB")
     if energy_flag not in (0, 1):
-        raise SifFormatError(f"{path}: invalid energy flag {energy_flag}")
-    expected = header_len + n_rows * n_cols * 8
-    if len(raw) != expected:
-        raise SifFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    data = np.frombuffer(raw[header_len:], dtype="<f8")
-    values = data.reshape((n_rows, n_cols), order="F").astype(np.float64)
+        raise r.error(f"invalid energy flag {energy_flag}")
+    values = r.f64s((n_rows, n_cols), order="F")
+    r.done()
     has_energy = energy_flag == 1
     return Sif(values, n_freq=n_rows - (1 if has_energy else 0), has_energy=has_energy)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import Reader, write_atomic
 from .optim import fnv1a
 
 CHECKPOINT_MAGIC = b"1MAX"
@@ -464,82 +465,50 @@ def finite_difference_gradients(
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write a model checkpoint; round-trips bit-exactly via load_checkpoint."""
-    body = struct.pack(
-        "<IIII",
-        CHECKPOINT_VERSION,
-        params.n_classes,
-        params.input_rows,
-        params.bank.n_groups,
+    bank = params.bank
+    payload = CHECKPOINT_MAGIC + struct.pack(
+        "<IIII", CHECKPOINT_VERSION, params.n_classes, params.input_rows, bank.n_groups
     )
-    for q, w in enumerate(params.bank.widths):
-        body += struct.pack("<II", w, params.bank.filters_per_width)
-        body += np.ascontiguousarray(params.bank.weights[q], dtype="<f8").tobytes()
-        body += np.ascontiguousarray(params.bank.biases[q], dtype="<f8").tobytes()
-    body += np.ascontiguousarray(params.softmax.weights, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(params.softmax.biases, dtype="<f8").tobytes()
-    payload = CHECKPOINT_MAGIC + body
-    with open(path, "wb") as f:
-        f.write(payload + struct.pack("<Q", fnv1a(payload)))
+    for w, weights, biases in zip(bank.widths, bank.weights, bank.biases):
+        payload += struct.pack("<II", w, bank.filters_per_width)
+        payload += np.ascontiguousarray(weights, dtype="<f8").tobytes()
+        payload += np.ascontiguousarray(biases, dtype="<f8").tobytes()
+    payload += np.ascontiguousarray(params.softmax.weights, dtype="<f8").tobytes()
+    payload += np.ascontiguousarray(params.softmax.biases, dtype="<f8").tobytes()
+    write_atomic(path, payload + struct.pack("<Q", fnv1a(payload)))
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by save_checkpoint, verifying the checksum."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 16 + 8:
-        raise CheckpointFormatError(f"{path}: file too short ({len(raw)} bytes)")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {raw[:4]!r}")
-    payload, (stored,) = raw[:-8], struct.unpack("<Q", raw[-8:])
-    if fnv1a(payload) != stored:
-        raise CheckpointFormatError(f"{path}: checksum mismatch")
-
-    pos = 4
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(payload):
-            raise CheckpointFormatError(f"{path}: truncated (needed {n} more bytes)")
-        chunk = payload[pos : pos + n]
-        pos += n
-        return chunk
-
-    version, n_classes, input_rows, n_groups = struct.unpack("<IIII", take(16))
+    r = Reader(path, CHECKPOINT_MAGIC, CheckpointFormatError, checksum=fnv1a)
+    version, n_classes, input_rows, n_groups = r.unpack("<IIII")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
+        raise r.error(f"unsupported version {version}")
     if n_groups == 0 or n_classes < 2 or input_rows == 0:
-        raise CheckpointFormatError(
-            f"{path}: implausible header (classes={n_classes}, rows={input_rows}, groups={n_groups})"
+        raise r.error(
+            f"implausible header (classes={n_classes}, rows={input_rows}, groups={n_groups})"
         )
     widths, weights, biases = [], [], []
-    p = None
     for _ in range(n_groups):
-        w, group_p = struct.unpack("<II", take(8))
-        if p is None:
-            p = group_p
-        elif group_p != p:
-            raise CheckpointFormatError(f"{path}: filter count varies across groups")
-        wt = np.frombuffer(take(group_p * input_rows * w * 8), dtype="<f8")
-        weights.append(wt.reshape(group_p, input_rows, w).astype(np.float64))
-        biases.append(np.frombuffer(take(group_p * 8), dtype="<f8").astype(np.float64))
+        # a filter count that varies across groups fails FilterBank's shape check
+        w, p = r.unpack("<II")
         widths.append(w)
-    pooled_dim = p * n_groups
-    sw = np.frombuffer(take(n_classes * pooled_dim * 8), dtype="<f8")
-    sb = np.frombuffer(take(n_classes * 8), dtype="<f8").astype(np.float64)
-    if pos != len(payload):
-        raise CheckpointFormatError(f"{path}: {len(payload) - pos} trailing bytes")
+        weights.append(r.f64s((p, input_rows, w)))
+        biases.append(r.f64s((p,)))
+    sw = r.f64s((n_classes, p * n_groups))
+    sb = r.f64s((n_classes,))
+    r.done()
     try:
         params = ModelParams(
             bank=FilterBank(
                 widths=tuple(widths), filters_per_width=p,
                 weights=weights, biases=biases,
             ),
-            softmax=SoftmaxParams(
-                weights=sw.reshape(n_classes, pooled_dim).astype(np.float64), biases=sb
-            ),
+            softmax=SoftmaxParams(weights=sw, biases=sb),
             n_classes=n_classes,
         )
     except ValueError as exc:
-        raise CheckpointFormatError(f"{path}: inconsistent contents: {exc}") from exc
+        raise r.error(f"inconsistent contents: {exc}") from exc
     if not params.all_finite():
-        raise CheckpointFormatError(f"{path}: non-finite parameter values")
+        raise r.error("non-finite parameter values")
     return params

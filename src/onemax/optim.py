@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import Reader, write_atomic
+
 ADAM_MAGIC = b"ADM1"
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -109,83 +111,44 @@ def adam_step(
 
 
 def _pack_array(arr: np.ndarray) -> bytes:
-    shape = arr.shape
-    out = struct.pack("<I", arr.ndim)
-    out += struct.pack(f"<{arr.ndim}I", *shape) if arr.ndim else b""
-    out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return out
+    header = struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+    return header + np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-class _Reader:
-    def __init__(self, raw: bytes, path):
-        self.raw = raw
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise AdamStateFormatError(f"{self.path}: truncated (needed {n} more bytes)")
-        chunk = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def array(self) -> np.ndarray:
-        ndim = self.u32()
-        if ndim > 8:
-            raise AdamStateFormatError(f"{self.path}: implausible ndim {ndim}")
-        shape = tuple(self.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(self.take(count * 8), dtype="<f8")
-        return data.reshape(shape).astype(np.float64)
+def _read_array(r: Reader) -> np.ndarray:
+    (ndim,) = r.unpack("<I")
+    if ndim > 8:
+        raise r.error(f"implausible ndim {ndim}")
+    return r.f64s(r.unpack(f"<{ndim}I"))
 
 
 def save_adam_state(state: AdamState, path) -> None:
     """Serialize optimizer state with a trailing FNV-1a checksum."""
-    body = struct.pack("<dddd", state.alpha, state.beta1, state.beta2, state.eps)
-    body += struct.pack("<QI", state.step, len(state.block_names))
+    payload = ADAM_MAGIC + struct.pack(
+        "<ddddQI", state.alpha, state.beta1, state.beta2, state.eps,
+        state.step, len(state.block_names),
+    )
     for name, m, v in zip(state.block_names, state.m, state.v):
         encoded = name.encode("utf-8")
-        body += struct.pack("<I", len(encoded)) + encoded
-        body += _pack_array(m)
-        body += _pack_array(v)
-    payload = ADAM_MAGIC + body
-    with open(path, "wb") as f:
-        f.write(payload + struct.pack("<Q", fnv1a(payload)))
+        payload += struct.pack("<I", len(encoded)) + encoded + _pack_array(m) + _pack_array(v)
+    write_atomic(path, payload + struct.pack("<Q", fnv1a(payload)))
 
 
 def load_adam_state(path) -> AdamState:
     """Load optimizer state saved by save_adam_state, verifying the checksum."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(ADAM_MAGIC) + 8:
-        raise AdamStateFormatError(f"{path}: file too short ({len(raw)} bytes)")
-    if raw[:4] != ADAM_MAGIC:
-        raise AdamStateFormatError(f"{path}: bad magic {raw[:4]!r}")
-    payload, (stored,) = raw[:-8], struct.unpack("<Q", raw[-8:])
-    if fnv1a(payload) != stored:
-        raise AdamStateFormatError(f"{path}: checksum mismatch")
-    r = _Reader(payload, path)
-    r.take(4)  # magic
-    alpha, beta1, beta2, eps = (r.f64() for _ in range(4))
-    step = r.u64()
-    n_blocks = r.u32()
+    r = Reader(path, ADAM_MAGIC, AdamStateFormatError, checksum=fnv1a)
+    alpha, beta1, beta2, eps = r.unpack("<dddd")
+    step, n_blocks = r.unpack("<QI")
     names, m, v = [], [], []
     for _ in range(n_blocks):
-        name_len = r.u32()
-        names.append(r.take(name_len).decode("utf-8"))
-        m.append(r.array())
-        v.append(r.array())
-    if r.pos != len(payload):
-        raise AdamStateFormatError(f"{path}: {len(payload) - r.pos} trailing bytes")
+        (name_len,) = r.unpack("<I")
+        try:
+            names.append(r.take(name_len).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise r.error(f"block name is not UTF-8 ({exc})") from exc
+        m.append(_read_array(r))
+        v.append(_read_array(r))
+    r.done()
     return AdamState(
         alpha=alpha, beta1=beta1, beta2=beta2, eps=eps,
         step=step, block_names=names, m=m, v=v,

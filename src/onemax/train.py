@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 
@@ -431,18 +433,21 @@ def width_sweep(
     A manifest-wide data error raises once, before any width is trained.
     A failed width is recorded with its error message and the sweep
     continues. Each row: {"width": w, "accuracy": {...}, "error": None}.
+    Features do not depend on the width, so without a cache directory the
+    sweep extracts them once into a temporary one.
     """
     _check_manifest(manifest)
     rows = []
-    for w in widths_list:
-        try:
-            config = base_config.with_overrides(widths=(int(w),))
-            _, report = train(config, manifest, bank, cache_dir)
-            acc = dict(report.test_acc)
-            acc["mean"] = report.mean_acc
-            rows.append({"width": int(w), "accuracy": acc, "error": None})
-        except (ValueError, RuntimeError, OSError) as exc:
-            rows.append({"width": int(w), "accuracy": None, "error": str(exc)})
+    with nullcontext(cache_dir) if cache_dir is not None else TemporaryDirectory() as cache:
+        for w in widths_list:
+            try:
+                config = base_config.with_overrides(widths=(int(w),))
+                _, report = train(config, manifest, bank, cache)
+                acc = dict(report.test_acc)
+                acc["mean"] = report.mean_acc
+                rows.append({"width": int(w), "accuracy": acc, "error": None})
+            except (ValueError, RuntimeError, OSError) as exc:
+                rows.append({"width": int(w), "accuracy": None, "error": str(exc)})
     return rows
 
 

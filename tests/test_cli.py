@@ -266,6 +266,23 @@ def test_train_missing_manifest_is_runtime_error(tmp_path, capsys):
     assert "error:" in stderr
 
 
+def test_train_rejects_manifest_with_corrupted_row(corpus_dir, tmp_path, capsys):
+    """A listed snr0 copy would be corrupted again by the multi regime."""
+    for name in ("events", "noise"):
+        (tmp_path / name).symlink_to(corpus_dir / name)
+    header, *rows = (corpus_dir / "manifest.tsv").read_text().splitlines()
+    rows[-1] = rows[-1].replace("\tclean\t", "\tsnr0\t")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "m.1max"
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", str(manifest), "--out", str(out), *TINY_TRAIN, *SEED,
+    ])
+    assert code == 1
+    assert f"manifest.tsv:{len(rows) + 1}: condition" in stderr
+    assert not out.exists()
+
+
 # --- config files -----------------------------------------------------------------------
 
 def test_config_file_feeds_defaults_flags_win(corpus_dir, cache_dir, tmp_path, capsys):

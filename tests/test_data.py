@@ -157,15 +157,14 @@ def test_manifest_label_table_sorted_and_dense(tmp_path):
         m.class_index("gamma")
 
 
-def test_manifest_rejects_duplicate_path_condition(tmp_path):
+def test_manifest_rejects_duplicate_path(tmp_path):
     rec = ManifestRecord("x.wav", "a", "train")
     with pytest.raises(ValueError, match="duplicate"):
         Manifest(records=[rec, ManifestRecord("x.wav", "a", "test")], root=tmp_path)
-    # same path under a different condition is fine
-    Manifest(
-        records=[rec, ManifestRecord("x.wav", "a", "train", condition="snr0")],
-        root=tmp_path,
-    )
+    path = tmp_path / "m.tsv"
+    path.write_text(MANIFEST_HEADER + "\nx.wav\ta\ttrain\tclean\t-\n" * 2)
+    with pytest.raises(ManifestFormatError, match="duplicate"):
+        read_manifest(path)
 
 
 def test_manifest_record_validation():
@@ -173,8 +172,24 @@ def test_manifest_record_validation():
         ManifestRecord("x.wav", "a", "dev")
     with pytest.raises(ValueError, match="label"):
         ManifestRecord("x.wav", "", "train")
-    with pytest.raises(ValueError):
-        ManifestRecord("x.wav", "a", "train", condition="noisy")
+
+
+@pytest.mark.parametrize("condition, source", [
+    ("snr0", "-"),
+    ("noisy", "-"),
+    ("clean", "events/a.wav"),
+    ("snr0", "events/a.wav"),
+])
+def test_manifest_rejects_non_clean_rows(tmp_path, condition, source):
+    """Corrupted copies are derived at run time; a listed one would be corrupted again."""
+    path = tmp_path / "m.tsv"
+    path.write_text(
+        MANIFEST_HEADER
+        + "\nevents/a.wav\talpha\ttrain\tclean\t-"
+        + f"\nnoisy/a.wav\talpha\ttest\t{condition}\t{source}\n"
+    )
+    with pytest.raises(ManifestFormatError, match=r"m\.tsv:3: condition and source"):
+        read_manifest(path)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -186,21 +201,6 @@ def test_manifest_round_trip(tmp_path):
     back = read_manifest(path)
     assert back.records == m.records
     assert back.root == tmp_path
-
-
-def test_manifest_source_path_round_trip(tmp_path):
-    m = Manifest(
-        records=[
-            ManifestRecord(
-                "noisy/a.wav", "alpha", "test",
-                condition="snr0", source_path="events/a.wav",
-            )
-        ],
-        root=tmp_path,
-    )
-    path = tmp_path / "m.tsv"
-    write_manifest(m, path)
-    assert read_manifest(path).records[0].source_path == "events/a.wav"
 
 
 def test_manifest_skips_comments_and_blanks(tmp_path):
@@ -337,10 +337,10 @@ def test_synth_corpus_layout(tiny_corpus):
     assert manifest.n_classes == 3
     assert bank.names == sorted(NOISE_NAMES)
     for rec in manifest.records:
-        assert rec.condition == "clean"
         assert (root / rec.path).exists()
         assert rec.path.startswith("events/")
-    assert (root / "manifest.tsv").exists()
+    rows = (root / "manifest.tsv").read_text().splitlines()[1:]
+    assert len(rows) == 24 and all(row.endswith("\tclean\t-") for row in rows)
     for name in NOISE_NAMES:
         assert (root / "noise" / f"{name}.wav").exists()
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,17 @@ def test_corrupted_state_rejected(tmp_path):
     raw[10] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(AdamStateFormatError, match="checksum"):
+        load_adam_state(path)
+
+
+def test_forged_state_with_non_utf8_name_rejected(tmp_path):
+    """A matching checksum does not make the contents valid."""
+    path = tmp_path / "x.adm"
+    save_adam_state(adam_init([("w", np.zeros(3))]), path)
+    payload = bytearray(path.read_bytes()[:-8])
+    payload[4 + 44 + 4] = 0xFF  # magic, "<ddddQI" header, name length, then the name
+    path.write_bytes(bytes(payload) + struct.pack("<Q", fnv1a(bytes(payload))))
+    with pytest.raises(AdamStateFormatError, match="UTF-8"):
         load_adam_state(path)
 
 

@@ -393,3 +393,19 @@ def test_width_sweep_continues_past_failures(tiny_corpus, sif_cache):
     assert rows[1]["error"] is None
     tsv = sweep_tsv(rows)
     assert "0\terror\t" in tsv
+
+
+def test_width_sweep_without_cache_extracts_once(tiny_corpus, monkeypatch):
+    """Features do not depend on the width, so a second width extracts nothing."""
+    manifest, bank, _ = tiny_corpus
+    calls = []
+    extract_sif = dsp.extract_sif
+    monkeypatch.setattr(dsp, "extract_sif", lambda *a, **k: calls.append(1) or extract_sif(*a, **k))
+    base = TrainConfig(**TINY, epochs=0)
+    counts = []
+    for widths in ((1,), (1, 3)):
+        calls.clear()
+        rows = width_sweep(base, widths, manifest, bank)
+        assert all(row["error"] is None for row in rows)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -23,11 +23,10 @@ from .data import (
     ManifestFormatError,
     NoiseBank,
     REGIMES,
-    Sample,
     SynthConfig,
     WavFormatError,
-    condition_name,
     load_noise_bank,
+    make_sample,
     read_manifest,
     synth_corpus,
 )
@@ -39,10 +38,10 @@ from .train import (
     CONFIG_PARSERS,
     TrainConfig,
     accuracy_table,
+    cache_path,
     config_text,
     evaluate,
     extract_features,
-    feature_digest,
     read_cached,
     sweep_tsv,
     train,
@@ -148,8 +147,12 @@ def resolve_cache_dir(args, file_cfg: dict[str, str], default=None):
     return default
 
 
-def _load_inputs(args, file_cfg) -> tuple[Manifest, NoiseBank]:
+def _load_inputs(args, with_noise: bool = True) -> tuple[Manifest, NoiseBank | None]:
+    """The manifest and, unless with_noise is false, the noise bank from
+    --noise-dir or <manifest dir>/noise."""
     manifest = read_manifest(args.manifest)
+    if not with_noise:
+        return manifest, None
     noise_dir = Path(args.noise_dir) if args.noise_dir else manifest.root / "noise"
     return manifest, load_noise_bank(noise_dir)
 
@@ -175,45 +178,33 @@ def cmd_synth(args, file_cfg) -> int:
 
 def cmd_extract(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
-    manifest = read_manifest(args.manifest)
+    # clean-only extraction (--snrs "") needs no noise bank
+    manifest, bank = _load_inputs(args, with_noise=bool(config.snrs))
     cache_dir = Path(args.out) if args.out else resolve_cache_dir(
         args, file_cfg, default=manifest.root / "sif_cache"
     )
     cache_dir.mkdir(parents=True, exist_ok=True)
 
-    conditions = ["clean"] + [condition_name(snr) for snr in config.snrs]
-    bank = None
-    if len(conditions) > 1:
-        noise_dir = Path(args.noise_dir) if args.noise_dir else manifest.root / "noise"
-        bank = load_noise_bank(noise_dir)
-
     index_lines = ["digest\tpath\tcondition\trows\tcols"]
     failures = 0
     for record in manifest.records:
-        for condition in conditions:
-            sample = Sample(
-                record=record,
-                condition=condition,
-                class_index=manifest.class_index(record.label),
-                mix_seed=None if condition == "clean"
-                else derive_seed(config.seed, "mix", record.path, condition, 0),
-            )
-            digest = feature_digest(config, sample)
-            out_path = cache_dir / f"{digest}.sif"
-            values = read_cached(out_path)
+        for snr in (None, *config.snrs):
+            sample = make_sample(manifest, record, snr, config.seed)
+            path = cache_path(cache_dir, config, sample)
+            where = f"{record.path} [{sample.condition}]"
+            values = read_cached(path)
             if values is not None:
-                print(f"skip (cached): {record.path} [{condition}] -> {out_path.name}")
+                print(f"skip (cached): {where} -> {path.name}")
             else:
                 try:
                     [values] = extract_features([sample], manifest, bank, config, cache_dir)
                 except (WavFormatError, OSError, ValueError) as exc:
-                    print(f"error: {record.path} [{condition}]: {exc}", file=sys.stderr)
+                    print(f"error: {where}: {exc}", file=sys.stderr)
                     failures += 1
                     continue
-                print(f"wrote: {record.path} [{condition}] -> {out_path.name} "
-                      f"({values.shape[0]}x{values.shape[1]})")
+                print(f"wrote: {where} -> {path.name} ({values.shape[0]}x{values.shape[1]})")
             rows, cols = values.shape
-            index_lines.append(f"{digest}\t{record.path}\t{condition}\t{rows}\t{cols}")
+            index_lines.append(f"{path.stem}\t{record.path}\t{sample.condition}\t{rows}\t{cols}")
     (cache_dir / "index.tsv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
     if failures:
         print(f"{failures} file(s) failed", file=sys.stderr)
@@ -223,7 +214,7 @@ def cmd_extract(args, file_cfg) -> int:
 
 def cmd_train(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
-    manifest, bank = _load_inputs(args, file_cfg)
+    manifest, bank = _load_inputs(args)
     cache_dir = resolve_cache_dir(args, file_cfg)
 
     print("resolved configuration:")
@@ -259,7 +250,7 @@ def cmd_eval(args, file_cfg) -> int:
     params = model.load_checkpoint(args.ckpt)
     # the checkpoint's row count says whether it was trained with the energy row
     config = config.with_overrides(with_energy=params.input_rows == config.n_freq + 1)
-    manifest, bank = _load_inputs(args, file_cfg)
+    manifest, bank = _load_inputs(args)
     cache_dir = resolve_cache_dir(args, file_cfg)
     accuracies = evaluate(params, manifest, bank, config, cache_dir)
     mean = accuracies.pop("mean")
@@ -282,7 +273,7 @@ def cmd_sweep(args, file_cfg) -> int:
     args.widths = None
     file_cfg = {k: v for k, v in file_cfg.items() if k != "widths"}
     config = resolve_train_config(args, file_cfg)
-    manifest, bank = _load_inputs(args, file_cfg)
+    manifest, bank = _load_inputs(args)
     cache_dir = resolve_cache_dir(args, file_cfg)
     rows = width_sweep(config, widths, manifest, bank, cache_dir)
     text = sweep_tsv(rows)
@@ -298,6 +289,8 @@ def cmd_sweep(args, file_cfg) -> int:
 
 
 def cmd_gradcheck(args, file_cfg) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = resolve_seed(args, file_cfg)
     tolerance = args.tolerance
     worst = 0.0
@@ -354,6 +347,57 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="config file of key=value lines; flags win over it")
 
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--manifest", default="manifest.tsv",
+                        help="corpus manifest (default: manifest.tsv)")
+    corpus.add_argument("--noise-dir", default=None,
+                        help="noise bank directory (default: <manifest dir>/noise)")
+    corpus.add_argument("--energy", dest="with_energy", default=None,
+                        action=argparse.BooleanOptionalAction,
+                        help="append the short-time energy row; eval takes it from "
+                             f"the checkpoint's row count instead {_default('with_energy')}")
+    corpus.add_argument("--energy-scale", dest="energy_scale", type=float, default=None,
+                        help=f"scale factor for the energy row {_default('energy_scale')}")
+    corpus.add_argument("--n-freq", dest="n_freq", type=int, default=None,
+                        help=f"down-sampled frequency rows {_default('n_freq')}")
+    corpus.add_argument("--snrs", type=CONFIG_PARSERS["snrs"], default=None,
+                        help=f"comma-separated corruption SNRs in dB {_default('snrs')}")
+    corpus.add_argument("--cache", default=None,
+                        help=f"SIF cache directory (default: ${CACHE_ENV} if set)")
+
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--widths", type=CONFIG_PARSERS["widths"], default=None,
+                          help=f"comma-separated filter widths {_default('widths')}")
+    training.add_argument("--filters", dest="filters_per_width", type=int, default=None,
+                          help=f"filters per width {_default('filters_per_width')}")
+    training.add_argument("--lr", dest="learning_rate", type=float, default=None,
+                          help=f"Adam learning rate {_default('learning_rate')}")
+    training.add_argument("--dropout", dest="dropout_rate", type=float, default=None,
+                          help=f"dropout rate on the pooled vector {_default('dropout_rate')}")
+    training.add_argument("--l2", dest="l2_lambda", type=float, default=None,
+                          help=f"L2 regularization strength {_default('l2_lambda')}")
+    training.add_argument("--batch-size", dest="batch_size", type=int, default=None,
+                          help=f"minibatch size {_default('batch_size')}")
+    training.add_argument("--epochs", type=int, default=None,
+                          help="training epochs (default: " + ", ".join(
+                              f"{TrainConfig(regime=r).resolved_epochs} {r}"
+                              for r in REGIMES) + ")")
+    training.add_argument("--regime", choices=REGIMES, default=None,
+                          help=f"training regime {_default('regime')}")
+    training.add_argument("--copies-per-snr", dest="copies_per_snr", type=int, default=None,
+                          help="corrupted copies per SNR per training instance "
+                               f"{_default('copies_per_snr')}")
+    training.add_argument("--validate-clean-only", dest="validate_clean_only", default=None,
+                          action=argparse.BooleanOptionalAction,
+                          help="score validation on clean audio only; otherwise the multi "
+                               "regime validates on all conditions "
+                               f"{_default('validate_clean_only')}")
+    training.add_argument("--regularize-biases", dest="regularize_biases", default=None,
+                          action=argparse.BooleanOptionalAction,
+                          help=f"include biases in the L2 term {_default('regularize_biases')}")
+    training.add_argument("--paper-defaults", action="store_true",
+                          help="restore the published hyperparameters over any config file")
+
     parser = argparse.ArgumentParser(
         prog="onemax",
         description="Noise-robust audio event recognition with a "
@@ -372,96 +416,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output corpus directory")
     p.set_defaults(func=cmd_synth)
 
-    def add_feature_flags(p):
-        p.add_argument("--energy", dest="with_energy", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help="append the short-time energy row; eval takes it from "
-                            f"the checkpoint's row count instead {_default('with_energy')}")
-        p.add_argument("--energy-scale", dest="energy_scale", type=float, default=None,
-                       help=f"scale factor for the energy row {_default('energy_scale')}")
-        p.add_argument("--n-freq", dest="n_freq", type=int, default=None,
-                       help=f"down-sampled frequency rows {_default('n_freq')}")
-        p.add_argument("--snrs", type=CONFIG_PARSERS["snrs"], default=None,
-                       help=f"comma-separated corruption SNRs in dB {_default('snrs')}")
-        p.add_argument("--cache", default=None,
-                       help=f"SIF cache directory (default: ${CACHE_ENV} if set)")
-
-    def add_train_flags(p):
-        p.add_argument("--widths", type=CONFIG_PARSERS["widths"], default=None,
-                       help=f"comma-separated filter widths {_default('widths')}")
-        p.add_argument("--filters", dest="filters_per_width", type=int, default=None,
-                       help=f"filters per width {_default('filters_per_width')}")
-        p.add_argument("--lr", dest="learning_rate", type=float, default=None,
-                       help=f"Adam learning rate {_default('learning_rate')}")
-        p.add_argument("--dropout", dest="dropout_rate", type=float, default=None,
-                       help=f"dropout rate on the pooled vector {_default('dropout_rate')}")
-        p.add_argument("--l2", dest="l2_lambda", type=float, default=None,
-                       help=f"L2 regularization strength {_default('l2_lambda')}")
-        p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                       help=f"minibatch size {_default('batch_size')}")
-        p.add_argument("--epochs", type=int, default=None,
-                       help="training epochs (default: " + ", ".join(
-                           f"{TrainConfig(regime=r).resolved_epochs} {r}" for r in REGIMES) + ")")
-        p.add_argument("--regime", choices=REGIMES, default=None,
-                       help=f"training regime {_default('regime')}")
-        p.add_argument("--copies-per-snr", dest="copies_per_snr", type=int, default=None,
-                       help="corrupted copies per SNR per training instance "
-                            f"{_default('copies_per_snr')}")
-        p.add_argument("--validate-clean-only", dest="validate_clean_only", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help="score validation on clean audio only; otherwise the multi "
-                            f"regime validates on all conditions {_default('validate_clean_only')}")
-        p.add_argument("--regularize-biases", dest="regularize_biases", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help=f"include biases in the L2 term {_default('regularize_biases')}")
-        p.add_argument("--paper-defaults", action="store_true",
-                       help="restore the published hyperparameters over any config file")
-
-    p = sub.add_parser("extract", parents=[common],
+    p = sub.add_parser("extract", parents=[common, corpus],
                        help="extract features for every (record, condition) pair")
-    p.add_argument("--manifest", default="manifest.tsv",
-                   help="corpus manifest (default: manifest.tsv)")
-    p.add_argument("--noise-dir", default=None,
-                   help="noise bank directory (default: <manifest dir>/noise)")
     p.add_argument("--out", default=None,
-                   help=f"output directory (default: ${CACHE_ENV} or <manifest dir>/sif_cache)")
-    add_feature_flags(p)
+                   help="output directory (default: --cache, then the config file's "
+                        f"cache key, then ${CACHE_ENV}, then <manifest dir>/sif_cache)")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, corpus, training],
                        help="train a model and write the best checkpoint")
-    p.add_argument("--manifest", default="manifest.tsv",
-                   help="corpus manifest (default: manifest.tsv)")
-    p.add_argument("--noise-dir", default=None,
-                   help="noise bank directory (default: <manifest dir>/noise)")
     p.add_argument("--out", default="model.1max",
                    help="checkpoint output path (default: model.1max)")
     p.add_argument("--log", default=None,
                    help="per-epoch JSONL log path (default: <out>.log.jsonl)")
-    add_feature_flags(p)
-    add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[common, corpus],
                        help="evaluate a checkpoint per noise condition")
     p.add_argument("--ckpt", required=True, help="checkpoint path")
-    p.add_argument("--manifest", default="manifest.tsv",
-                   help="corpus manifest (default: manifest.tsv)")
-    p.add_argument("--noise-dir", default=None,
-                   help="noise bank directory (default: <manifest dir>/noise)")
     p.add_argument("--tsv", action="store_true", help="tab-separated output")
-    add_feature_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, corpus, training],
                        help="train one single-width model per width")
-    p.add_argument("--manifest", default="manifest.tsv",
-                   help="corpus manifest (default: manifest.tsv)")
-    p.add_argument("--noise-dir", default=None,
-                   help="noise bank directory (default: <manifest dir>/noise)")
     p.add_argument("--out", default=None, help="TSV output path (default: stdout)")
-    add_feature_flags(p)
-    add_train_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", parents=[common],

@@ -487,9 +487,8 @@ def build_condition_set(
     copies_per_snr corrupted copies per SNR level per instance; the
     validation stream gets the same treatment (model selection sees the
     conditions it will be tested on) unless validate_clean_only. Test
-    streams always cover clean plus every SNR. Mix seeds are derived
-    from (rng_seed, path, condition, copy), so a given corrupted copy
-    is identical across regimes and runs.
+    streams always cover clean plus every SNR; make_sample builds each
+    sample.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be 'mismatched' or 'multi', got {regime!r}")
@@ -498,39 +497,50 @@ def build_condition_set(
     if not bank.waves:
         raise ValueError("noise bank is empty")
 
-    def corrupted(rec: ManifestRecord, snr: float, copy: int) -> Sample:
-        cond = condition_name(snr)
-        return Sample(
-            record=rec,
-            condition=cond,
-            class_index=manifest.class_index(rec.label),
-            mix_seed=derive_seed(rng_seed, "mix", rec.path, cond, copy),
-            copy=copy,
-        )
-
-    def clean(rec: ManifestRecord) -> Sample:
-        return Sample(record=rec, condition="clean", class_index=manifest.class_index(rec.label))
+    def clean(recs: list[ManifestRecord]) -> list[Sample]:
+        return [make_sample(manifest, r, None, rng_seed) for r in recs]
 
     def expand(recs: list[ManifestRecord]) -> list[Sample]:
-        out = [clean(r) for r in recs]
+        out = clean(recs)
         for snr in snrs:
             for k in range(copies_per_snr):
-                out.extend(corrupted(r, snr, k) for r in recs)
+                out.extend(make_sample(manifest, r, snr, rng_seed, k) for r in recs)
         return out
 
     train_recs = manifest.by_split("train")
     val_recs = manifest.by_split("validation")
-    train = [clean(r) for r in train_recs] if regime == "mismatched" else expand(train_recs)
+    train = clean(train_recs) if regime == "mismatched" else expand(train_recs)
     if regime == "multi" and not validate_clean_only:
         validation = expand(val_recs)
     else:
-        validation = [clean(r) for r in val_recs]
+        validation = clean(val_recs)
 
     test_recs = manifest.by_split("test")
-    test = {"clean": [clean(r) for r in test_recs]}
+    test = {"clean": clean(test_recs)}
     for snr in snrs:
-        test[condition_name(snr)] = [corrupted(r, snr, 0) for r in test_recs]
+        test[condition_name(snr)] = [make_sample(manifest, r, snr, rng_seed) for r in test_recs]
     return ConditionSet(regime=regime, train=train, validation=validation, test=test)
+
+
+def make_sample(
+    manifest: Manifest, record: ManifestRecord, snr: float | None, rng_seed: int, copy: int = 0
+) -> Sample:
+    """One record under one condition: clean when snr is None, else corrupted.
+
+    A corrupted copy's mix seed is derived from (rng_seed, path,
+    condition, copy), so it is identical across regimes and runs.
+    """
+    class_index = manifest.class_index(record.label)
+    if snr is None:
+        return Sample(record=record, condition="clean", class_index=class_index)
+    condition = condition_name(snr)
+    return Sample(
+        record=record,
+        condition=condition,
+        class_index=class_index,
+        mix_seed=derive_seed(rng_seed, "mix", record.path, condition, copy),
+        copy=copy,
+    )
 
 
 def resolve_sample(sample: Sample, manifest: Manifest, bank: NoiseBank | None) -> Waveform:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .container import Reader, write_atomic
 
-SAMPLE_RATE = 16000        # Hz
 WINDOW_LEN = 1600          # 100 ms at 16 kHz
 HOP_LEN = 160              # 10 ms at 16 kHz
 FFT_SIZE = 2048
@@ -62,11 +61,6 @@ class FrameConfig:
             raise ValueError(f"hop_samples must be positive, got {self.hop_samples}")
         if self.fft_size & (self.fft_size - 1) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-
-    @property
-    def frame_len_samples(self) -> int:
-        # frame length after zero-padding to the FFT size
-        return self.fft_size
 
 
 @dataclass

@@ -398,15 +398,12 @@ def backward(
 
     p = params.bank.filters_per_width
     for q, w in enumerate(params.bank.widths):
-        dvals = dpooled[q * p : (q + 1) * p]
         idx = trace.argmax[q]
-        pre_at_max = trace.pre_relu[q][np.arange(p), idx]
-        live = pre_at_max > 0.0
-        gw, gb = grads.conv_weights[q], grads.conv_biases[q]
-        for j in np.nonzero(live)[0]:
-            t0 = idx[j]
-            gw[j] = dvals[j] * sif[:, t0 : t0 + w]
-            gb[j] = dvals[j]
+        live = trace.pre_relu[q][np.arange(p), idx] > 0.0
+        d = dpooled[q * p : (q + 1) * p][live]
+        windows = np.lib.stride_tricks.sliding_window_view(sif, (sif.shape[0], w))[0]
+        grads.conv_weights[q][live] = d[:, None, None] * windows[idx[live]]
+        grads.conv_biases[q][live] = d
 
     if l2_lambda != 0.0:
         for q in range(params.bank.n_groups):

@@ -66,12 +66,16 @@ class TrainConfig:
             raise ValueError(f"widths must be distinct, got {self.widths}")
         if self.filters_per_width < 1:
             raise ValueError("filters_per_width must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be non-negative")
+        if not (np.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
+        if not np.isfinite(self.energy_scale):
+            raise ValueError(f"energy_scale must be finite, got {self.energy_scale}")
+        if not np.all(np.isfinite(self.snrs)):
+            raise ValueError(f"snrs must all be finite, got {self.snrs}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs is not None and self.epochs < 0:
@@ -206,6 +210,11 @@ def feature_digest(config: TrainConfig, sample: Sample) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
+def cache_path(cache_dir, config: TrainConfig, sample: Sample) -> Path:
+    """Where a sample's features are cached under one feature config."""
+    return Path(cache_dir) / f"{feature_digest(config, sample)}.sif"
+
+
 def read_cached(path) -> np.ndarray | None:
     """The features cached at path; None when there is no readable entry.
 
@@ -233,7 +242,7 @@ def extract_features(
         cache.mkdir(parents=True, exist_ok=True)
     out = []
     for sample in samples:
-        path = cache / f"{feature_digest(config, sample)}.sif" if cache is not None else None
+        path = cache_path(cache, config, sample) if cache is not None else None
         cached = read_cached(path)
         if cached is not None:
             out.append(cached)

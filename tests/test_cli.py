@@ -199,6 +199,16 @@ def test_extract_continues_past_bad_file(corpus_dir, tmp_path, capsys):
     assert len(list(out.glob("*.sif"))) == 17 * 4
 
 
+def test_clean_only_extract_loads_no_noise_bank(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "sifs"
+    code, _, _ = run(capsys, [
+        "extract", "--manifest", str(corpus_dir / "manifest.tsv"), "--out", str(out),
+        "--noise-dir", str(tmp_path / "no-such-dir"), "--snrs", "", *SEED,
+    ])
+    assert code == 0
+    assert len(list(out.glob("*.sif"))) == 18
+
+
 def test_extract_uses_cache_env_var(corpus_dir, tmp_path, monkeypatch, capsys):
     env_cache = tmp_path / "env-cache"
     monkeypatch.setenv(CACHE_ENV, str(env_cache))
@@ -239,6 +249,24 @@ def test_train_rejects_bad_dropout_before_touching_disk(corpus_dir, tmp_path, ca
     ])
     assert code == 2
     assert "dropout" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--lr", "nan"], "learning_rate"),
+    (["--lr", "inf"], "learning_rate"),
+    (["--l2", "inf"], "l2_lambda"),
+    (["--energy", "--energy-scale", "nan"], "energy_scale"),
+    (["--snrs", "20,inf"], "snrs"),
+])
+def test_train_rejects_non_finite_setting(corpus_dir, tmp_path, capsys, flags, field):
+    out = tmp_path / "model.1max"
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"),
+        "--out", str(out), *TINY_TRAIN, *flags, *SEED,
+    ])
+    assert code == 2
+    assert field in stderr
     assert not out.exists()
 
 
@@ -531,3 +559,11 @@ def test_gradcheck_negative_control_fails(capsys):
     ])
     assert code == 1
     assert "FAIL" in stdout
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_without_trials_is_usage_error(capsys, trials):
+    code, stdout, stderr = run(capsys, ["gradcheck", "--trials", trials, *SEED])
+    assert code == 2
+    assert "PASS" not in stdout
+    assert "--trials" in stderr

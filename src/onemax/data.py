@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 import wave as wave_module
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +297,10 @@ class SynthConfig:
     noise_duration_s: float = 3.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.n_classes}")
         if self.instances_per_class < 1:

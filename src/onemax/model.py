@@ -24,6 +24,9 @@ CHECKPOINT_VERSION = 1
 
 PROB_FLOOR = 1e-300
 
+# forward() pads each group's positions to a multiple of this; see its docstring
+POSITION_BLOCK = 16
+
 
 class CheckpointFormatError(Exception):
     """Raised when a model checkpoint file is malformed or corrupt."""
@@ -246,14 +249,26 @@ def forward(
     """One forward pass.
 
     Each width-w group pools over valid_len = max(1, true_len - w + 1)
-    positions. The convolution itself is restricted to the true-length
-    columns rather than computed over the padding and discarded: einsum's
-    reduction chunking depends on operand extents, so running it over
-    the padded width can perturb even the kept positions by an ulp.
-    Restricting the operand makes padding-neutrality exact by
-    construction. Train mode applies inverted dropout to the pooled
-    vector: units are kept with probability 1 - dropout_rate and scaled
-    by 1/(1 - dropout_rate), so eval mode needs no rescaling.
+    positions. Its [P, valid_len] pre-activation is a sum of w BLAS
+    products, one per filter offset j, added in the fixed order
+    j = 0 .. w-1: the [positions, rows] slice of the input that offset j
+    reads, times that offset's [rows, P] filter column. The slices come
+    from a zero buffer that holds the clip's first max(true_len, w)
+    columns, and whose shape depends on nothing else, so padding beyond
+    true_len cannot change a bit.
+
+    Positions are padded to a multiple of POSITION_BLOCK. A BLAS library
+    may send a product's rows through different kernels, which round
+    differently, by how many rows the product has and where a row falls:
+    a lone row, or rows left over after the full blocks. With the padding
+    every product has whole blocks of rows, so a position's value does
+    not depend on the clip's length, on where the position lies in the
+    clip or on the BLAS thread count: the result is shift-invariant and
+    reproducible bit for bit.
+
+    Train mode applies inverted dropout to the pooled vector: units are
+    kept with probability 1 - dropout_rate and scaled by
+    1/(1 - dropout_rate), so eval mode needs no rescaling.
     """
     sif = np.asarray(sif, dtype=np.float64)
     if mode not in ("train", "eval"):
@@ -273,16 +288,18 @@ def forward(
             f"({max(params.bank.widths)}); pad with pad_to_min first"
         )
 
-    # one contiguous copy whose shape and strides depend only on the
-    # true content, never on how far the storage happens to be padded
-    content = np.ascontiguousarray(sif[:, : max(true_len, max(params.bank.widths))])
     pre_list, argmax_list, pooled_parts = [], [], []
     for q, w in enumerate(params.bank.widths):
-        windows = np.lib.stride_tricks.sliding_window_view(
-            content[:, : max(true_len, w)], (sif.shape[0], w)
-        )[0]
-        pre = np.einsum("lkw,pkw->pl", windows, params.bank.weights[q])
-        pre += params.bank.biases[q][:, None]
+        n = max(true_len, w)
+        valid_len = n - w + 1
+        positions = -(-valid_len // POSITION_BLOCK) * POSITION_BLOCK
+        buf = np.zeros((sif.shape[0], positions + w - 1))
+        buf[:, :n] = sif[:, :n]
+        taps = np.ascontiguousarray(params.bank.weights[q].transpose(2, 1, 0))  # [w, rows, P]
+        acc = buf[:, :positions].T @ taps[0]
+        for j in range(1, w):
+            acc += buf[:, j : j + positions].T @ taps[j]
+        pre = acc[:valid_len].T + params.bank.biases[q][:, None]
         post = np.maximum(pre, 0.0)
         idx = post.argmax(axis=1)
         pooled_parts.append(post[np.arange(post.shape[0]), idx])

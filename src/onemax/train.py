@@ -389,7 +389,7 @@ def train(
         best_epoch=best_epoch,
         best_val_acc=best_acc,
     )
-    report.test_acc = evaluate(best_params, manifest, bank, config, cache_dir)
+    report.test_acc = _test_accuracy(best_params, cs, manifest, bank, config, cache_dir)
     report.mean_acc = report.test_acc.pop("mean")
     report.wall_seconds = time.monotonic() - t0
     return best_params, report
@@ -421,6 +421,18 @@ def evaluate(
         snrs=config.snrs, copies_per_snr=config.copies_per_snr,
         validate_clean_only=config.validate_clean_only,
     )
+    return _test_accuracy(params, cs, manifest, bank, config, cache_dir)
+
+
+def _test_accuracy(
+    params: model.ModelParams,
+    cs: ConditionSet,
+    manifest: Manifest,
+    bank: NoiseBank,
+    config: TrainConfig,
+    cache_dir,
+) -> dict[str, float]:
+    """Accuracy on each of cs's test streams, in condition order, then their "mean"."""
     out: dict[str, float] = {}
     for condition, samples in cs.test.items():
         sifs = extract_features(samples, manifest, bank, config, cache_dir)

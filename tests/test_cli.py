@@ -100,6 +100,15 @@ def test_synth_one_class_is_usage_error(tmp_path, capsys):
     assert "2 classes" in stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_rejects_non_finite_noise_duration_before_touching_disk(tmp_path, capsys, value):
+    out = tmp_path / "c"
+    code, _, stderr = run(capsys, ["synth", "--out", str(out), "--noise-duration", value])
+    assert code == 2
+    assert "noise_duration_s" in stderr
+    assert not out.exists()
+
+
 def test_synth_reports_and_writes(corpus_dir, capsys):
     # the fixture already ran synth; spot-check the directory contents
     assert (corpus_dir / "manifest.tsv").exists()

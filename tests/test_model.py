@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,18 @@ def one_max_pool(feature_map: np.ndarray, valid_len: int) -> tuple[float, int]:
     return float(feature_map[idx]), idx
 
 
+def einsum_pre_relu(params: ModelParams, sif: np.ndarray, true_len: int) -> list[np.ndarray]:
+    """Each group's [P, L] pre-activation by one einsum over the sliding windows
+    of the clip's first max(true_len, w) columns."""
+    out = []
+    for q, w in enumerate(params.bank.widths):
+        content = np.ascontiguousarray(sif[:, : max(true_len, w)])
+        windows = np.lib.stride_tricks.sliding_window_view(content, (sif.shape[0], w))[0]
+        pre = np.einsum("lkw,pkw->pl", windows, params.bank.weights[q])
+        out.append(pre + params.bank.biases[q][:, None])
+    return out
+
+
 def brute_force_conv(sif, weights, bias):
     """Triple-loop correlation + ReLU, straight from the definition."""
     rows, t = sif.shape
@@ -80,6 +96,9 @@ def max_rel_error(analytic_arrays, fd_arrays, floor=1e-3):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
         worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+PAPER_WIDTHS = tuple(range(1, 26, 2))
 
 
 def small_params(seed=0, rows=8, widths=(1, 3), p=3, n_classes=4):
@@ -201,6 +220,77 @@ def test_forward_matches_conv_op_per_filter():
             np.testing.assert_allclose(
                 np.maximum(trace.pre_relu[q][p], 0.0), expected, atol=1e-12
             )
+
+
+def test_forward_matches_einsum_oracle_at_paper_shape():
+    params = init_params(10, 52, PAPER_WIDTHS, 100, seed=21)
+    rng = np.random.default_rng(22)
+    for t in (20, 121, 141):
+        sif, true_len = pad_to_min(rng.uniform(0, 2, size=(52, t)), max(PAPER_WIDTHS))
+        trace = forward(params, sif, true_len)
+        for got, want in zip(trace.pre_relu, einsum_pre_relu(params, sif, true_len)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pre_relu_columns_do_not_depend_on_position():
+    """A clip embedded at offsets 1..33 in a zero background gives the same
+    bits in every column whose window sees the same content, although the
+    background's length, and with it the padded position count, changes.
+    Each column also equals its window scored alone, a one-position clip."""
+    rows, p, w, c, tail = 52, 100, 25, 60, 5
+    params = init_params(3, rows, (w,), p, seed=23)
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        # one zero column before the clip, `tail` after it
+        content = np.zeros((rows, 1 + c + tail))
+        content[:, 1 : 1 + c] = rng.uniform(0, 2, size=(rows, c))
+        reference = None
+        for offset in range(1, 34):
+            t = offset + c + tail
+            sif = np.zeros((rows, t))
+            sif[:, offset - 1 :] = content
+            columns = forward(params, sif, t).pre_relu[0][:, offset - 1 :]
+            if reference is None:
+                reference = columns
+            else:
+                np.testing.assert_array_equal(columns, reference)
+        for k in range(reference.shape[1]):
+            alone = forward(params, content[:, k : k + w], w).pre_relu[0]
+            np.testing.assert_array_equal(alone[:, 0], reference[:, k])
+
+
+# Forward and backward at the desk shape and at one paper-width group
+# (w = 25, P = 100; 141 - 25 + 1 = 117 positions, not a multiple of 16).
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from onemax import model
+for widths, p, t in (((1, 3, 5, 7, 9), 16, 87), ((25,), 100, 141)):
+    params = model.init_params(5, 52, widths, p, seed=31)
+    sif = np.random.default_rng(32).uniform(0, 2, size=(52, t))
+    for mode in ("eval", "train"):
+        trace = model.forward(params, sif, t, mode=mode, rng_seed=3)
+        grads = model.backward(params, trace, sif, 1, 1e-4)
+        arrays = trace.pre_relu + [trace.pooled, trace.y_hat] + grads.arrays()
+        print(widths, mode, hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def test_forward_and_backward_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(model.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 4
 
 
 def test_probabilities_sum_to_one():

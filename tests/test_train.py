@@ -241,6 +241,18 @@ def test_evaluate_matches_report_row(tiny_corpus, sif_cache):
     assert mean == report.mean_acc
 
 
+def test_train_expands_the_manifest_once(tiny_corpus, sif_cache, monkeypatch):
+    """The final test scoring reuses the condition set train() built."""
+    manifest, bank, _ = tiny_corpus
+    calls = []
+    monkeypatch.setattr(
+        "onemax.train.build_condition_set",
+        lambda *a, **k: calls.append(1) or build_condition_set(*a, **k),
+    )
+    train(TrainConfig(**TINY, epochs=1), manifest, bank, cache_dir=sif_cache)
+    assert len(calls) == 1
+
+
 def test_evaluate_after_checkpoint_round_trip(tiny_corpus, sif_cache, tmp_path):
     manifest, bank, _ = tiny_corpus
     cfg = TrainConfig(**TINY, epochs=2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,7 @@ DEFAULTS = TrainConfig()
 CONFIG_KEYS = set(CONFIG_PARSERS) | {"cache"}
 
 # hyperparameter keys --paper-defaults pins back to the built-in defaults
-HYPERPARAM_KEYS = {
-    "widths", "filters_per_width", "learning_rate", "dropout_rate",
-    "l2_lambda", "batch_size", "epochs",
-}
+HYPERPARAM_KEYS = {f.name for f in fields(TrainConfig) if f.metadata.get("hyperparameter")}
 
 RUNTIME_ERRORS = (
     OSError,

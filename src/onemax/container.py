@@ -30,23 +30,23 @@ class Reader:
         self.path, self.error_class = path, error
         with open(path, "rb", buffering=0) as f:  # one unbuffered read: cheaper per small file
             raw = f.read()
-        trailer = _TRAILER.size if checksum is not None else 0
-        if len(raw) < len(magic) + trailer:
+        end = len(raw) - (_TRAILER.size if checksum is not None else 0)
+        if end < len(magic):
             raise self.error(f"file too short ({len(raw)} bytes)")
         if raw[: len(magic)] != magic:
             raise self.error(f"bad magic {raw[: len(magic)]!r}")
         if checksum is not None:
-            raw, (stored,) = raw[:-trailer], _TRAILER.unpack_from(raw, len(raw) - trailer)
-            if checksum(raw) != stored:
+            # reads stop at end, so the payload is checked and parsed in place
+            if checksum(memoryview(raw)[:end]) != _TRAILER.unpack_from(raw, end)[0]:
                 raise self.error("checksum mismatch")
-        self.raw, self.pos = raw, len(magic)
+        self.raw, self.end, self.pos = raw, end, len(magic)
 
     def error(self, message: str) -> Exception:
         return self.error_class(f"{self.path}: {message}")
 
     def _advance(self, n: int) -> int:
         """Claim the next n bytes; return their offset."""
-        if self.pos + n > len(self.raw):
+        if self.pos + n > self.end:
             raise self.error(f"truncated (needed {n} bytes at offset {self.pos})")
         self.pos += n
         return self.pos - n
@@ -64,17 +64,31 @@ class Reader:
         return data.reshape(shape, order=order).astype(np.float64)
 
     def done(self) -> None:
-        if self.pos != len(self.raw):
-            raise self.error(f"{len(self.raw) - self.pos} trailing bytes")
+        if self.pos != self.end:
+            raise self.error(f"{self.end - self.pos} trailing bytes")
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write beside path, then rename over it: no reader or failed writer leaves a partial file."""
+def write_atomic(path, *chunks) -> None:
+    """Write the chunks beside path, then rename over it: no reader or failed
+    writer leaves a partial file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def f64_buffer(arr: np.ndarray) -> np.ndarray:
+    """arr as C-order little-endian float64: a part for write_sealed, copied only by its join."""
+    return np.ascontiguousarray(arr, dtype="<f8")
+
+
+def write_sealed(path, parts, checksum) -> None:
+    """Join the parts once and write them atomically with the checksum trailer."""
+    payload = b"".join(parts)
+    write_atomic(path, payload, _TRAILER.pack(checksum(payload)))

@@ -123,18 +123,19 @@ def hamming_window(length: int) -> np.ndarray:
 
 
 def dft_magnitude(frame: np.ndarray, fft_size: int) -> np.ndarray:
-    """Magnitude spectrum |X(f)| for f = 0 .. fft_size/2 - 1.
+    """Magnitude spectrum |X(f)| for f = 0 .. fft_size/2 - 1 of each frame
+    along the last axis.
 
-    The frame is zero-padded to fft_size. Computed with an FFT but equal,
+    Each frame is zero-padded to fft_size. Computed with an FFT but equal,
     within rounding, to the naive DFT sum.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1:
-        raise ValueError(f"frame must be 1-d, got shape {frame.shape}")
-    if len(frame) > fft_size:
-        raise ValueError(f"frame length {len(frame)} exceeds fft_size {fft_size}")
-    spectrum = np.fft.rfft(frame, n=fft_size)
-    return np.abs(spectrum[: fft_size // 2])
+    if frame.ndim == 0:
+        raise ValueError("frame must be at least 1-d, got a scalar")
+    if frame.shape[-1] > fft_size:
+        raise ValueError(f"frame length {frame.shape[-1]} exceeds fft_size {fft_size}")
+    spectrum = np.fft.rfft(frame, n=fft_size, axis=-1)
+    return np.abs(spectrum[..., : fft_size // 2])
 
 
 def spectrogram(wave: Waveform, cfg: FrameConfig = FrameConfig()) -> Spectrogram:
@@ -153,9 +154,7 @@ def spectrogram(wave: Waveform, cfg: FrameConfig = FrameConfig()) -> Spectrogram
     frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.window_len_samples)
     frames = frames[:: cfg.hop_samples]  # [n_frames, window_len]
     windowed = frames * hamming_window(cfg.window_len_samples)
-    spectrum = np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
-    mags = np.abs(spectrum[:, : cfg.fft_size // 2])
-    return Spectrogram(mags.T)
+    return Spectrogram(dft_magnitude(windowed, cfg.fft_size).T)
 
 
 def downsample_freq(spec: Spectrogram, n_out_bins: int) -> Spectrogram:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import Reader, write_atomic
+from .container import Reader, f64_buffer, write_sealed
 from .optim import fnv1a
 
 CHECKPOINT_MAGIC = b"1MAX"
@@ -480,16 +480,14 @@ def finite_difference_gradients(
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write a model checkpoint; round-trips bit-exactly via load_checkpoint."""
     bank = params.bank
-    payload = CHECKPOINT_MAGIC + struct.pack(
+    parts = [CHECKPOINT_MAGIC, struct.pack(
         "<IIII", CHECKPOINT_VERSION, params.n_classes, params.input_rows, bank.n_groups
-    )
+    )]
     for w, weights, biases in zip(bank.widths, bank.weights, bank.biases):
-        payload += struct.pack("<II", w, bank.filters_per_width)
-        payload += np.ascontiguousarray(weights, dtype="<f8").tobytes()
-        payload += np.ascontiguousarray(biases, dtype="<f8").tobytes()
-    payload += np.ascontiguousarray(params.softmax.weights, dtype="<f8").tobytes()
-    payload += np.ascontiguousarray(params.softmax.biases, dtype="<f8").tobytes()
-    write_atomic(path, payload + struct.pack("<Q", fnv1a(payload)))
+        parts += [struct.pack("<II", w, bank.filters_per_width),
+                  f64_buffer(weights), f64_buffer(biases)]
+    parts += [f64_buffer(params.softmax.weights), f64_buffer(params.softmax.biases)]
+    write_sealed(path, parts, fnv1a)
 
 
 def load_checkpoint(path) -> ModelParams:

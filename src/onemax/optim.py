@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import Reader, write_atomic
+from .container import Reader, f64_buffer, write_sealed
 
 ADAM_MAGIC = b"ADM1"
 
@@ -21,12 +21,71 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# fnv1a works on blocks of this many bytes; _POWERS[_BLOCK - n:] is P^n ... P^1
+_BLOCK = 1 << 16
+_POWERS = np.cumprod(np.full(_BLOCK, FNV_PRIME, np.uint64))[::-1].copy()
+_BYTE_ONES = np.uint64(0x0101010101010101)
+_WORD_SHIFTS = tuple(np.uint64(s) for s in (8, 16, 32))
+_TOP_BYTE = np.uint64(56)
 
-def fnv1a(data: bytes) -> int:
-    """64-bit FNV-1a hash, used as a cheap integrity checksum in file formats."""
+
+def _prefix_xor(t: np.ndarray) -> None:
+    """In place, t[i] becomes t[0] ^ ... ^ t[i]; len(t) is a multiple of 8.
+
+    Eight bytes at a time: a shift-XOR scan inside each little-endian word,
+    then one XOR scan over the words' top bytes carries into the next word.
+    """
+    w = t.view("<u8")
+    for s in _WORD_SHIFTS:
+        w ^= w << s
+    w[1:] ^= np.bitwise_xor.accumulate(w[:-1] >> _TOP_BYTE) * _BYTE_ONES
+
+
+def _low_bytes(b: np.ndarray, l0: int) -> np.ndarray:
+    """The state's low byte before each byte of b, starting from l0.
+
+    It runs by itself: l' = c * (l ^ byte) mod 256, c = 0xB3 being the
+    prime's low byte. As c is odd, bit k of c * x is bit k of x XOR a term of
+    x's lower bits, so bit k of l' is bit k of l XOR bit k of
+    c * ((l mod 2^k) ^ byte). With bits 0..k-1 of every l known, that flip is
+    known, and bit k of every l is a prefix XOR of the flips. Eight passes
+    give all bits.
+    """
+    n = len(b)
+    data = np.zeros(-(-n // 8) * 8, np.uint8)
+    data[:n] = b
+    low = np.zeros_like(data)  # pass k holds l mod 2^k
+    for k in range(8):
+        bit = np.uint8(1 << k)
+        flips = low ^ data
+        flips *= np.uint8(FNV_PRIME & 0xFF)
+        flips &= bit
+        _prefix_xor(flips)  # flips[i]: bit k of l[i + 1] XOR bit k of l0
+        if l0 & bit:
+            flips ^= bit
+            low[0] |= bit
+        low[1:] |= flips[:-1]
+    return low[:n]
+
+
+def fnv1a(data) -> int:
+    """64-bit FNV-1a hash, used as a cheap integrity checksum in file formats.
+
+    Equal to the per-byte loop h = ((h ^ byte) * P) mod 2^64 on every input
+    (bytes, bytearray or memoryview), computed a block at a time. XOR with a
+    byte changes only the low byte l of h, so each step adds
+    P * ((l ^ byte) - l) to P * h, and once the low bytes are known a block's
+    effect on h is one wrap-around dot product with the powers of P.
+    """
+    buf = np.frombuffer(data, np.uint8)
     h = FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & _MASK64
+    for start in range(0, len(buf), _BLOCK):
+        b = buf[start : start + _BLOCK]
+        low = _low_bytes(b, h & 0xFF)
+        steps = (low ^ b).astype(np.int64)
+        steps -= low
+        powers = _POWERS[_BLOCK - len(b) :]
+        h = (h * int(powers[0]) + int(np.dot(steps.view(np.uint64), powers))) & _MASK64
     return h
 
 
@@ -110,9 +169,8 @@ def adam_step(
         theta -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def _pack_array(arr: np.ndarray) -> bytes:
-    header = struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-    return header + np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _array_parts(arr: np.ndarray) -> list:
+    return [struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), f64_buffer(arr)]
 
 
 def _read_array(r: Reader) -> np.ndarray:
@@ -124,14 +182,14 @@ def _read_array(r: Reader) -> np.ndarray:
 
 def save_adam_state(state: AdamState, path) -> None:
     """Serialize optimizer state with a trailing FNV-1a checksum."""
-    payload = ADAM_MAGIC + struct.pack(
+    parts = [ADAM_MAGIC, struct.pack(
         "<ddddQI", state.alpha, state.beta1, state.beta2, state.eps,
         state.step, len(state.block_names),
-    )
+    )]
     for name, m, v in zip(state.block_names, state.m, state.v):
         encoded = name.encode("utf-8")
-        payload += struct.pack("<I", len(encoded)) + encoded + _pack_array(m) + _pack_array(v)
-    write_atomic(path, payload + struct.pack("<Q", fnv1a(payload)))
+        parts += [struct.pack("<I", len(encoded)), encoded, *_array_parts(m), *_array_parts(v)]
+    write_sealed(path, parts, fnv1a)
 
 
 def load_adam_state(path) -> AdamState:

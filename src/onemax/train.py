@@ -38,17 +38,22 @@ from .seeds import derive_seed
 DEFAULT_WIDTHS = tuple(range(1, 26, 2))  # {1, 3, ..., 25}
 
 
+def _hyperparameter(default):
+    """A TrainConfig field that --paper-defaults pins back to its default."""
+    return field(default=default, metadata={"hyperparameter": True})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; defaults are the published large-corpus settings."""
 
-    widths: tuple[int, ...] = DEFAULT_WIDTHS
-    filters_per_width: int = 100
-    learning_rate: float = 1e-4
-    dropout_rate: float = 0.5
-    l2_lambda: float = 1e-4
-    batch_size: int = 100
-    epochs: int | None = None      # None -> 1000 mismatched / 500 multi
+    widths: tuple[int, ...] = _hyperparameter(DEFAULT_WIDTHS)
+    filters_per_width: int = _hyperparameter(100)
+    learning_rate: float = _hyperparameter(1e-4)
+    dropout_rate: float = _hyperparameter(0.5)
+    l2_lambda: float = _hyperparameter(1e-4)
+    batch_size: int = _hyperparameter(100)
+    epochs: int | None = _hyperparameter(None)      # None -> 1000 mismatched / 500 multi
     seed: int = 0
     regime: str = "mismatched"
     with_energy: bool = False

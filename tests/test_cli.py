@@ -405,6 +405,26 @@ def test_config_text_reads_back_as_a_config_file(tmp_path):
     assert resolve_train_config(args, load_config_file(path)) == cfg
 
 
+def test_paper_defaults_pin_exactly_the_seven_hyperparameters(tmp_path):
+    assert HYPERPARAM_KEYS == {
+        "widths", "filters_per_width", "learning_rate", "dropout_rate",
+        "l2_lambda", "batch_size", "epochs",
+    }
+    cfg = TrainConfig(
+        widths=(2, 5), filters_per_width=7, learning_rate=0.003, dropout_rate=0.25,
+        l2_lambda=0.0, batch_size=3, epochs=9, seed=4, regime="multi", n_freq=40,
+        copies_per_snr=2,
+    )
+    path = tmp_path / "run.cfg"
+    path.write_text(config_text(cfg) + "\n")
+    args = build_parser().parse_args(["train", "--config", str(path), "--paper-defaults"])
+    got = resolve_train_config(args, load_config_file(path))
+    defaults = TrainConfig()
+    for f in fields(TrainConfig):
+        want = getattr(defaults if f.name in HYPERPARAM_KEYS else cfg, f.name)
+        assert getattr(got, f.name) == want, f.name
+
+
 def test_bad_config_value_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("widths = 1,x\n")

@@ -116,6 +116,18 @@ def test_dft_matches_naive_oracle_full_size():
 def test_dft_frame_longer_than_fft_rejected():
     with pytest.raises(ValueError):
         dft_magnitude(np.ones(9), 8)
+    with pytest.raises(ValueError):
+        dft_magnitude(np.ones((3, 9)), 8)
+    with pytest.raises(ValueError):
+        dft_magnitude(np.float64(1.0), 8)
+
+
+def test_dft_batches_along_the_last_axis():
+    frames = np.random.default_rng(4).standard_normal((2, 5, 48))
+    got = dft_magnitude(frames, 64)
+    assert got.shape == (2, 5, 32)
+    for index in np.ndindex(2, 5):
+        assert np.array_equal(got[index], dft_magnitude(frames[index], 64))
 
 
 def test_parseval_energy_balance():
@@ -166,6 +178,16 @@ def test_spectrogram_column_matches_single_frame_dft():
     frame = samples[320 : 320 + 400] * hamming_window(400)
     expected = dft_magnitude(frame, 512)
     np.testing.assert_allclose(spec.values[:, 2], expected, atol=1e-12)
+
+
+def test_spectrogram_columns_are_dft_magnitude_bit_for_bit():
+    # the DFT oracle tests check dft_magnitude, so the spectrogram must be it exactly
+    samples = np.random.default_rng(10).standard_normal(6000)
+    spec = spectrogram(Waveform(samples, 16000))
+    window = hamming_window(dsp.WINDOW_LEN)
+    for col in range(spec.n_frames):
+        frame = samples[col * dsp.HOP_LEN : col * dsp.HOP_LEN + dsp.WINDOW_LEN] * window
+        assert np.array_equal(spec.values[:, col], dft_magnitude(frame, dsp.FFT_SIZE)), col
 
 
 def test_spectrogram_too_short_rejected():

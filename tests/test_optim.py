@@ -3,7 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from onemax.model import init_params, save_checkpoint
 from onemax.optim import (
+    FNV_OFFSET,
+    FNV_PRIME,
     AdamState,
     AdamStateFormatError,
     adam_init,
@@ -12,6 +15,15 @@ from onemax.optim import (
     load_adam_state,
     save_adam_state,
 )
+from onemax.train import DEFAULT_WIDTHS
+
+
+def fnv1a_per_byte(data) -> int:
+    """The textbook one-step-per-byte FNV-1a loop, the oracle for fnv1a."""
+    h = FNV_OFFSET
+    for b in bytes(data):
+        h = ((h ^ b) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def reference_adam(theta0, grads, alpha, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -208,6 +220,27 @@ def test_truncated_state_rejected(tmp_path):
 
 def test_fnv1a_known_values():
     # published FNV-1a 64-bit test vectors
-    assert fnv1a(b"") == 0xCBF29CE484222325
-    assert fnv1a(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a(b"foobar") == 0x85944171F73967E8
+    for data, want in ((b"", 0xCBF29CE484222325), (b"a", 0xAF63DC4C8601EC8C),
+                       (b"foobar", 0x85944171F73967E8)):
+        assert fnv1a(data) == fnv1a_per_byte(data) == want
+        assert fnv1a(memoryview(data)) == want
+
+
+# around the 8-byte words and the 64 KiB blocks fnv1a works in
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 65535, 65536, 65537, 3 * 65536 + 17])
+def test_fnv1a_matches_per_byte_loop(n):
+    data = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes()
+    want = fnv1a_per_byte(data)
+    assert fnv1a(data) == want
+    assert fnv1a(memoryview(data)) == want
+    assert fnv1a(bytearray(data)) == want
+
+
+def test_fnv1a_matches_per_byte_loop_on_a_paper_shape_checkpoint(tmp_path):
+    path = tmp_path / "paper.1max"
+    save_checkpoint(init_params(10, 52, DEFAULT_WIDTHS, 100, seed=3), path)
+    raw = path.read_bytes()
+    assert len(raw) > 7_000_000
+    payload = memoryview(raw)[:-8]
+    (stored,) = struct.unpack("<Q", raw[-8:])
+    assert fnv1a(payload) == fnv1a(bytes(payload)) == fnv1a_per_byte(payload) == stored

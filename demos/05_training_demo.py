@@ -9,6 +9,7 @@ training falls apart.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from onemax.data import SynthConfig, synth_corpus
@@ -37,7 +38,7 @@ cache = root / "cache"
 
 reports = {}
 for regime in ("mismatched", "multi"):
-    config = base.with_overrides(regime=regime)
+    config = replace(base, regime=regime)
     params, report = train(config, manifest, bank, cache_dir=cache)
     reports[regime] = report
     print(f"\n{regime}: best epoch {report.best_epoch} "
@@ -54,7 +55,7 @@ print(f"\naccuracy gained at 0 dB by training on corrupted copies: {gap:+.4f}")
 # checkpoints restore exactly: re-evaluating the saved model reproduces
 # the accuracy row to the last digit
 restored = load_checkpoint(root / "multi.1max")
-again = evaluate(restored, manifest, bank, base.with_overrides(regime="multi"),
+again = evaluate(restored, manifest, bank, replace(base, regime="multi"),
                  cache_dir=cache)
 again.pop("mean")
 assert again == reports["multi"].test_acc

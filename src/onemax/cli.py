@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +247,7 @@ def cmd_eval(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
     params = model.load_checkpoint(args.ckpt)
     # the checkpoint's row count says whether it was trained with the energy row
-    config = config.with_overrides(with_energy=params.input_rows == config.n_freq + 1)
+    config = replace(config, with_energy=params.input_rows == config.n_freq + 1)
     manifest, bank = _load_inputs(args)
     cache_dir = resolve_cache_dir(args, file_cfg)
     accuracies = evaluate(params, manifest, bank, config, cache_dir)

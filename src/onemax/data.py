@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import SAMPLE_RATE, Waveform
 from .seeds import derive_seed
 
 MANIFEST_HEADER = "#manifest-v1"
@@ -45,8 +45,11 @@ class ManifestFormatError(Exception):
 # ---------------------------------------------------------------------------
 # WAV I/O (16-bit PCM mono only; no silent resampling or remixing)
 
-def load_wav(path, expected_rate: int | None = None) -> Waveform:
-    """Read a RIFF/WAVE file of 16-bit PCM mono samples, scaled by 1/32768."""
+def load_wav(path) -> Waveform:
+    """Read a RIFF/WAVE file of 16-bit PCM mono samples, scaled by 1/32768.
+
+    The file's rate is kept; dsp.spectrogram rejects all but dsp.SAMPLE_RATE.
+    """
     try:
         with wave_module.open(str(path), "rb") as wf:
             if wf.getcomptype() != "NONE":
@@ -64,8 +67,6 @@ def load_wav(path, expected_rate: int | None = None) -> Waveform:
         raise
     except (wave_module.Error, EOFError, struct.error) as exc:
         raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
-    if expected_rate is not None and rate != expected_rate:
-        raise WavFormatError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
     if len(raw) < 2 * n:
         raise WavFormatError(f"{path}: data chunk truncated ({len(raw)} bytes for {n} frames)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
@@ -149,11 +150,15 @@ class Manifest:
 
 
 def condition_name(snr_db: float | None) -> str:
-    """None -> 'clean'; 20.0 -> 'snr20'; non-integer dB keeps its decimals."""
+    """None -> 'clean'; 20.0 -> 'snr20'; 2.5 -> 'snr2.5'.
+
+    Non-integer dB is spelled with repr, so condition_snr reads back the
+    exact SNR and distinct SNRs get distinct names.
+    """
     if snr_db is None:
         return "clean"
     snr_db = float(snr_db)
-    return f"snr{int(snr_db)}" if snr_db.is_integer() else f"snr{snr_db:g}"
+    return f"snr{int(snr_db)}" if snr_db.is_integer() else f"snr{snr_db!r}"
 
 
 def condition_snr(name: str) -> float | None:
@@ -231,18 +236,14 @@ class NoiseBank:
     def names(self) -> list[str]:
         return sorted(self.waves)
 
-    @property
-    def sample_rate(self) -> int:
-        return next(iter(self.waves.values())).sample_rate
 
-
-def load_noise_bank(noise_dir, expected_rate: int | None = None) -> NoiseBank:
+def load_noise_bank(noise_dir) -> NoiseBank:
     """Load every .wav in a directory; the file stem becomes the noise name."""
     noise_dir = Path(noise_dir)
     paths = sorted(noise_dir.glob("*.wav"))
     if not paths:
         raise WavFormatError(f"{noise_dir}: no .wav files found")
-    return NoiseBank({p.stem: load_wav(p, expected_rate) for p in paths})
+    return NoiseBank({p.stem: load_wav(p) for p in paths})
 
 
 def mix_noise_at_snr(
@@ -288,7 +289,6 @@ def mix_noise_at_snr(
 class SynthConfig:
     n_classes: int = 5
     instances_per_class: int = 16
-    sample_rate: int = 16000
     min_duration_s: float = 0.3
     max_duration_s: float = 1.5
     min_amplitude: float = 0.3
@@ -311,10 +311,10 @@ class SynthConfig:
             raise ValueError("noises must be at least as long as the longest event")
 
 
-def _edge_ramp(n_samples: int, sample_rate: int, ramp_s: float = 0.005) -> np.ndarray:
+def _edge_ramp(n_samples: int, ramp_s: float = 0.005) -> np.ndarray:
     """Raised-cosine fade-in/out envelope so synthetic events don't click."""
     env = np.ones(n_samples)
-    ramp = min(int(ramp_s * sample_rate), n_samples // 2)
+    ramp = min(int(ramp_s * SAMPLE_RATE), n_samples // 2)
     if ramp > 0:
         ramp_shape = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
         env[:ramp] = ramp_shape
@@ -328,7 +328,7 @@ def _class_base_freq(class_index: int) -> float:
 
 
 def _synth_event(kind: str, class_index: int, cfg: SynthConfig, rng) -> np.ndarray:
-    sr = cfg.sample_rate
+    sr = SAMPLE_RATE
     duration = rng.uniform(cfg.min_duration_s, cfg.max_duration_s)
     amplitude = rng.uniform(cfg.min_amplitude, cfg.max_amplitude)
     jitter = 1.0 + rng.uniform(-cfg.pitch_jitter, cfg.pitch_jitter)
@@ -364,7 +364,7 @@ def _synth_event(kind: str, class_index: int, cfg: SynthConfig, rng) -> np.ndarr
     else:
         raise ValueError(f"unknown event kind {kind!r}")
 
-    x *= _edge_ramp(n, sr)
+    x *= _edge_ramp(n)
     peak = np.max(np.abs(x))
     if peak > 0:
         x *= amplitude / peak
@@ -372,7 +372,7 @@ def _synth_event(kind: str, class_index: int, cfg: SynthConfig, rng) -> np.ndarr
 
 
 def _synth_noise(name: str, cfg: SynthConfig, rng) -> np.ndarray:
-    sr = cfg.sample_rate
+    sr = SAMPLE_RATE
     n = int(round(cfg.noise_duration_s * sr))
     t = np.arange(n) / sr
     if name == "white":
@@ -431,7 +431,7 @@ def synth_corpus(cfg: SynthConfig, out_dir, rng_seed: int) -> tuple[Manifest, No
             rng = np.random.default_rng(derive_seed(rng_seed, "event", c, i))
             samples = _synth_event(kind, c, cfg, rng)
             rel = f"events/{label}_{i:03d}.wav"
-            write_wav(out_dir / rel, Waveform(samples, cfg.sample_rate))
+            write_wav(out_dir / rel, Waveform(samples, SAMPLE_RATE))
             split = "train" if i < n_train else ("validation" if i < n_train + n_val else "test")
             records.append(ManifestRecord(path=rel, label=label, split=split))
 
@@ -439,7 +439,7 @@ def synth_corpus(cfg: SynthConfig, out_dir, rng_seed: int) -> tuple[Manifest, No
     for name in NOISE_NAMES:
         rng = np.random.default_rng(derive_seed(rng_seed, "noise", name))
         samples = _synth_noise(name, cfg, rng)
-        write_wav(noise_dir / f"{name}.wav", Waveform(samples, cfg.sample_rate))
+        write_wav(noise_dir / f"{name}.wav", Waveform(samples, SAMPLE_RATE))
         # reload so the in-memory bank matches the int16 files bit-for-bit
         waves[name] = load_wav(noise_dir / f"{name}.wav")
 

@@ -1,4 +1,4 @@
-"""Spectrogram image feature (SIF) extraction.
+"""SIF (spectrogram image feature) extraction.
 
 Pipeline: frame the waveform, Hamming-window each frame, magnitude DFT,
 down-sample in frequency by block averaging, de-noise each frequency row
@@ -16,6 +16,7 @@ import numpy as np
 
 from .container import Reader, write_atomic
 
+SAMPLE_RATE = 16000        # the only rate the framing below is defined for
 WINDOW_LEN = 1600          # 100 ms at 16 kHz
 HOP_LEN = 160              # 10 ms at 16 kHz
 FFT_SIZE = 2048
@@ -44,48 +45,9 @@ class Waveform:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class FrameConfig:
-    """Framing parameters: analysis window, hop, and FFT length (samples)."""
-
-    window_len_samples: int = WINDOW_LEN
-    hop_samples: int = HOP_LEN
-    fft_size: int = FFT_SIZE
-
-    def __post_init__(self):
-        if not (0 < self.window_len_samples <= self.fft_size):
-            raise ValueError(
-                f"need 0 < window_len ({self.window_len_samples}) <= fft_size ({self.fft_size})"
-            )
-        if self.hop_samples <= 0:
-            raise ValueError(f"hop_samples must be positive, got {self.hop_samples}")
-        if self.fft_size & (self.fft_size - 1) != 0:
-            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-
-
-@dataclass
-class Spectrogram:
-    """Non-negative magnitude spectrogram; rows = frequency bins, cols = frames."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.size == 0:
-            raise ValueError(f"spectrogram must be a non-empty 2-d matrix, got shape {self.values.shape}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
-
 @dataclass
 class Sif:
-    """Spectrogram image feature: de-noised frequency rows plus optional energy row."""
+    """The spectrogram image feature: de-noised frequency rows plus optional energy row."""
 
     values: np.ndarray
     n_freq: int
@@ -138,50 +100,49 @@ def dft_magnitude(frame: np.ndarray, fft_size: int) -> np.ndarray:
     return np.abs(spectrum[..., : fft_size // 2])
 
 
-def spectrogram(wave: Waveform, cfg: FrameConfig = FrameConfig()) -> Spectrogram:
-    """Short-time magnitude spectrogram.
+def spectrogram(wave: Waveform) -> np.ndarray:
+    """Short-time magnitude spectrogram, [FFT_SIZE / 2 bins, frames].
 
-    Frames start at hop intervals; the final partial frame is dropped.
-    Each frame is Hamming-windowed over window_len_samples and zero-padded
-    to fft_size. n_frames = 1 + floor((len - window_len) / hop).
+    Frames start every HOP_LEN samples; the final partial frame is dropped.
+    Each frame is Hamming-windowed over WINDOW_LEN samples and zero-padded
+    to FFT_SIZE. n_frames = 1 + floor((len - WINDOW_LEN) / HOP_LEN). The
+    framing is in samples, so audio at any rate but SAMPLE_RATE is rejected.
     """
-    samples = wave.samples
-    if len(samples) < cfg.window_len_samples:
+    if wave.sample_rate != SAMPLE_RATE:
         raise ValueError(
-            f"waveform has {len(samples)} samples, shorter than one "
-            f"{cfg.window_len_samples}-sample window"
+            f"sample rate {wave.sample_rate} Hz; features are defined at {SAMPLE_RATE} Hz only"
         )
-    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.window_len_samples)
-    frames = frames[:: cfg.hop_samples]  # [n_frames, window_len]
-    windowed = frames * hamming_window(cfg.window_len_samples)
-    return Spectrogram(dft_magnitude(windowed, cfg.fft_size).T)
+    samples = wave.samples
+    if len(samples) < WINDOW_LEN:
+        raise ValueError(
+            f"waveform has {len(samples)} samples, shorter than one {WINDOW_LEN}-sample window"
+        )
+    frames = np.lib.stride_tricks.sliding_window_view(samples, WINDOW_LEN)[::HOP_LEN]
+    return dft_magnitude(frames * hamming_window(WINDOW_LEN), FFT_SIZE).T
 
 
-def downsample_freq(spec: Spectrogram, n_out_bins: int) -> Spectrogram:
+def downsample_freq(spec: np.ndarray, n_out_bins: int) -> np.ndarray:
     """Down-sample in frequency by averaging blocks of W = floor(n_bins / n_out_bins).
 
     Input bins >= n_out_bins * W (the remainder above the covered range)
     are discarded.
     """
+    n_bins, n_frames = spec.shape
     if n_out_bins == 0:
         raise ValueError("n_out_bins must be >= 1")
-    if n_out_bins > spec.n_bins:
-        raise ValueError(f"n_out_bins {n_out_bins} exceeds available bins {spec.n_bins}")
-    w = spec.n_bins // n_out_bins
-    kept = spec.values[: n_out_bins * w, :]
-    out = kept.reshape(n_out_bins, w, spec.n_frames).mean(axis=1)
-    return Spectrogram(out)
+    if n_out_bins > n_bins:
+        raise ValueError(f"n_out_bins {n_out_bins} exceeds available bins {n_bins}")
+    w = n_bins // n_out_bins
+    return spec[: n_out_bins * w].reshape(n_out_bins, w, n_frames).mean(axis=1)
 
 
-def denoise(spec: Spectrogram) -> Spectrogram:
+def denoise(spec: np.ndarray) -> np.ndarray:
     """Subtract each frequency row's minimum over time; row minima become exactly 0."""
-    mins = spec.values.min(axis=1, keepdims=True)
-    return Spectrogram(spec.values - mins)
+    return spec - spec.min(axis=1, keepdims=True)
 
 
 def extract_sif(
     wave: Waveform,
-    cfg: FrameConfig = FrameConfig(),
     n_freq: int = N_FREQ,
     with_energy: bool = False,
     energy_scale: float = 1.0,
@@ -191,8 +152,7 @@ def extract_sif(
     With with_energy, a row holding energy_scale * (column sum of the
     de-noised rows) is appended below the frequency rows.
     """
-    spec = denoise(downsample_freq(spectrogram(wave, cfg), n_freq))
-    values = spec.values
+    values = denoise(downsample_freq(spectrogram(wave), n_freq))
     if with_energy:
         energy = energy_scale * values.sum(axis=0, keepdims=True)
         values = np.vstack([values, energy])

@@ -29,6 +29,7 @@ from .data import (
     REGIMES,
     Sample,
     build_condition_set,
+    condition_name,
     make_batches,
     resolve_sample,
 )
@@ -81,6 +82,8 @@ class TrainConfig:
             raise ValueError(f"energy_scale must be finite, got {self.energy_scale}")
         if not np.all(np.isfinite(self.snrs)):
             raise ValueError(f"snrs must all be finite, got {self.snrs}")
+        if len({condition_name(s) for s in self.snrs}) != len(self.snrs):
+            raise ValueError(f"snrs must name distinct conditions, got {self.snrs}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs is not None and self.epochs < 0:
@@ -101,9 +104,6 @@ class TrainConfig:
     @property
     def input_rows(self) -> int:
         return self.n_freq + (1 if self.with_energy else 0)
-
-    def with_overrides(self, **kwargs) -> "TrainConfig":
-        return replace(self, **kwargs)
 
 
 def _parse_bool(text: str) -> bool:
@@ -137,10 +137,16 @@ CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
 
 
 def value_text(value) -> str:
-    """The config_text form of one field value: tuples comma-joined, floats in them as %g."""
+    """The config_text form of one field value: tuples comma-joined, floats in
+    them as %g where that reads back exactly and as repr where it does not."""
     if isinstance(value, tuple):
-        return ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+        return ",".join(_float_text(v) if isinstance(v, float) else str(v) for v in value)
     return str(value)
+
+
+def _float_text(v: float) -> str:
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
 
 
 @dataclass
@@ -467,7 +473,7 @@ def width_sweep(
     with nullcontext(cache_dir) if cache_dir is not None else TemporaryDirectory() as cache:
         for w in widths_list:
             try:
-                config = base_config.with_overrides(widths=(int(w),))
+                config = replace(base_config, widths=(int(w),))
                 _, report = train(config, manifest, bank, cache)
                 acc = dict(report.test_acc)
                 acc["mean"] = report.mean_acc

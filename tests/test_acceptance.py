@@ -8,6 +8,7 @@ desk-scale training benchmark, and bit-level determinism of every artifact.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,10 +255,10 @@ def test_end_to_end_noise_robust_training(tmp_path):
     )
     cache = tmp_path / "cache"
     _, multi = train(
-        base.with_overrides(regime="multi"), manifest, bank, cache_dir=cache
+        replace(base, regime="multi"), manifest, bank, cache_dir=cache
     )
     _, mismatched = train(
-        base.with_overrides(regime="mismatched"), manifest, bank, cache_dir=cache
+        replace(base, regime="mismatched"), manifest, bank, cache_dir=cache
     )
 
     assert multi.test_acc["clean"] >= 0.95

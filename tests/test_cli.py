@@ -1,4 +1,5 @@
 import json
+import wave as wave_module
 from dataclasses import fields
 
 import numpy as np
@@ -208,6 +209,37 @@ def test_extract_continues_past_bad_file(corpus_dir, tmp_path, capsys):
     assert len(list(out.glob("*.sif"))) == 17 * 4
 
 
+def corpus_with_slow_clip(corpus_dir, root):
+    """A copy of the corpus whose first event is relabelled 8 kHz; returns its path."""
+    (root / "events").mkdir(parents=True)
+    (root / "noise").symlink_to(corpus_dir / "noise")
+    (root / "manifest.tsv").write_text((corpus_dir / "manifest.tsv").read_text())
+    wavs = sorted((corpus_dir / "events").glob("*.wav"))
+    for wav in wavs[1:]:
+        (root / "events" / wav.name).symlink_to(wav)
+    with wave_module.open(str(wavs[0]), "rb") as src:
+        frames = src.readframes(src.getnframes())
+    with wave_module.open(str(root / "events" / wavs[0].name), "wb") as dst:
+        dst.setnchannels(1)
+        dst.setsampwidth(2)
+        dst.setframerate(8000)
+        dst.writeframes(frames)
+    return f"events/{wavs[0].name}"
+
+
+def test_extract_names_clip_at_another_rate(corpus_dir, tmp_path, capsys):
+    slow = corpus_with_slow_clip(corpus_dir, tmp_path / "corpus")
+    out = tmp_path / "sifs"
+    code, _, stderr = run(capsys, [
+        "extract", "--manifest", str(tmp_path / "corpus" / "manifest.tsv"),
+        "--out", str(out), *SEED,
+    ])
+    assert code == 1
+    assert f"error: {slow} [clean]: sample rate 8000 Hz" in stderr
+    # the 17 other events were still processed under all 4 conditions
+    assert len(list(out.glob("*.sif"))) == 17 * 4
+
+
 def test_clean_only_extract_loads_no_noise_bank(corpus_dir, tmp_path, capsys):
     out = tmp_path / "sifs"
     code, _, _ = run(capsys, [
@@ -291,6 +323,29 @@ def test_train_without_validation_records_is_data_error(corpus_dir, tmp_path, ca
     ])
     assert code == 1
     assert "validation" in stderr
+    assert not out.exists()
+
+
+def test_train_rejects_clip_at_another_rate(corpus_dir, tmp_path, capsys):
+    corpus_with_slow_clip(corpus_dir, tmp_path / "corpus")
+    out = tmp_path / "m.1max"
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", str(tmp_path / "corpus" / "manifest.tsv"),
+        "--out", str(out), *TINY_TRAIN, *SEED,
+    ])
+    assert code == 1
+    assert "8000 Hz" in stderr
+    assert not out.exists()
+
+
+def test_train_repeated_snrs_is_usage_error(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "m.1max"
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"),
+        "--out", str(out), *TINY_TRAIN, "--snrs", "10,10", *SEED,
+    ])
+    assert code == 2
+    assert "snrs" in stderr
     assert not out.exists()
 
 

@@ -29,7 +29,7 @@ from onemax.data import (
     write_manifest,
     write_wav,
 )
-from onemax.dsp import Waveform
+from onemax.dsp import Waveform, extract_sif
 
 
 def write_raw_wav(path, samples_i16, rate=16000, channels=1, sampwidth=2):
@@ -79,12 +79,13 @@ def test_load_wav_rejects_8bit(tmp_path):
         load_wav(path)
 
 
-def test_load_wav_rejects_wrong_rate(tmp_path):
+def test_wrong_rate_wav_loads_but_extracts_no_features(tmp_path):
     path = tmp_path / "slow.wav"
-    write_raw_wav(path, [0, 1, 2], rate=8000)
-    with pytest.raises(WavFormatError, match="8000"):
-        load_wav(path, expected_rate=16000)
-    assert load_wav(path, expected_rate=8000).sample_rate == 8000
+    write_raw_wav(path, np.arange(8000), rate=8000)
+    wave = load_wav(path)
+    assert wave.sample_rate == 8000
+    with pytest.raises(ValueError, match="8000 Hz"):
+        extract_sif(wave)
 
 
 def test_load_wav_rejects_garbage(tmp_path):
@@ -108,7 +109,7 @@ def test_write_wav_round_trip(tmp_path):
     original = Waveform(rng.uniform(-0.99, 0.99, size=500), 16000)
     path = tmp_path / "rt.wav"
     assert write_wav(path, original) == 0
-    back = load_wav(path, expected_rate=16000)
+    back = load_wav(path)
     # quantized to the nearest 1/32768 step
     np.testing.assert_allclose(back.samples, original.samples, atol=0.5 / 32768.0)
 
@@ -133,6 +134,32 @@ def test_condition_names_round_trip():
         condition_snr("loud")
     with pytest.raises(ValueError):
         condition_snr("snrx")
+
+
+def test_condition_names_are_exact():
+    assert condition_name(12.3456789) == "snr12.3456789"
+    assert condition_name(7.0000001) != condition_name(7.0000002)
+    for snr in (12.3456789, 7.0000001, 0.1, -2.75, 1e-05, 1234567.5):
+        assert condition_snr(condition_name(snr)) == snr
+    # every name that %g spelled exactly is kept, so cache names do not move
+    for snr in [*np.arange(-40.0, 40.0, 0.125), 0.1, 0.3, -1.7, 1e-05, 2.5e-07]:
+        if not float(snr).is_integer() and float(f"{snr:g}") == snr:
+            assert condition_name(snr) == f"snr{snr:g}"
+
+
+def test_close_snrs_get_their_own_streams_and_mix_seeds(tiny_corpus):
+    manifest, bank, _ = tiny_corpus
+    snrs = (7.0000001, 7.0000002, 12.3456789)
+    cs = build_condition_set(manifest, bank, "multi", rng_seed=3, snrs=snrs)
+    assert list(cs.test) == ["clean", "snr7.0000001", "snr7.0000002", "snr12.3456789"]
+    mix_seeds = [s.mix_seed for s in cs.train if s.mix_seed is not None]
+    assert len(mix_seeds) == len(snrs) * len(manifest.by_split("train"))
+    assert len(set(mix_seeds)) == len(mix_seeds)
+    # a corrupted copy is mixed at the requested SNR, not at a rounded one
+    sample = cs.test["snr12.3456789"][0]
+    mixed = resolve_sample(sample, manifest, bank)
+    clean = load_wav(manifest.abspath(sample.record))
+    assert measured_snr_db(mixed, clean) == pytest.approx(12.3456789, abs=1e-9)
 
 
 # --- manifests -----------------------------------------------------------------
@@ -319,7 +346,7 @@ def test_noise_bank_validation():
 def test_load_noise_bank(tmp_path):
     for name in ("hum", "fan"):
         write_raw_wav(tmp_path / f"{name}.wav", np.arange(100))
-    bank = load_noise_bank(tmp_path, expected_rate=16000)
+    bank = load_noise_bank(tmp_path)
     assert bank.names == ["fan", "hum"]
     with pytest.raises(WavFormatError, match="no .wav"):
         load_noise_bank(tmp_path / "empty")
@@ -349,7 +376,8 @@ def test_synth_event_durations_in_bounds(tiny_corpus):
     manifest, _, root = tiny_corpus
     cfg = SynthConfig()
     for rec in manifest.records:
-        wave = load_wav(root / rec.path, expected_rate=16000)
+        wave = load_wav(root / rec.path)
+        assert wave.sample_rate == 16000
         duration = len(wave) / wave.sample_rate
         assert cfg.min_duration_s - 1e-6 <= duration <= cfg.max_duration_s + 1e-6
         assert np.max(np.abs(wave.samples)) <= 1.0

@@ -3,7 +3,8 @@
 The demos call the public model and data API the way a reader would, so a
 signature change that breaks one shows up here. `05_training_demo.py` is
 left out: it trains two models and takes over a minute, too slow for the
-tier-1 suite. Run it by hand with `python demos/05_training_demo.py`.
+tier-1 suite. The CI `demos` job runs all five, that one included; by hand,
+`python demos/05_training_demo.py`.
 """
 
 import os

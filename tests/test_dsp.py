@@ -3,10 +3,8 @@ import pytest
 
 from onemax import dsp
 from onemax.dsp import (
-    FrameConfig,
     Sif,
     SifFormatError,
-    Spectrogram,
     Waveform,
     denoise,
     dft_magnitude,
@@ -145,20 +143,20 @@ def test_parseval_energy_balance():
 
 def test_spectrogram_frame_count():
     wave = Waveform(np.zeros(16000), 16000)
-    spec = spectrogram(wave)
-    assert spec.n_frames == 1 + (16000 - 1600) // 160 == 91
-    assert spec.n_bins == 1024
+    assert spectrogram(wave).shape == (1024, 1 + (16000 - 1600) // 160) == (1024, 91)
 
 
 def test_spectrogram_zero_wave_is_zero():
     spec = spectrogram(Waveform(np.zeros(4000), 16000))
-    assert np.all(spec.values == 0.0)
+    assert np.all(spec == 0.0)
 
 
 def test_spectrogram_partial_final_frame_dropped():
-    cfg = FrameConfig(window_len_samples=100, hop_samples=40, fft_size=128)
-    wave = Waveform(np.ones(100 + 2 * 40 + 39), 16000)  # 39 samples short of frame 4
-    assert spectrogram(wave, cfg).n_frames == 3
+    n = dsp.WINDOW_LEN + 2 * dsp.HOP_LEN
+    assert spectrogram(Waveform(np.ones(n), 16000)).shape[1] == 3
+    # one sample short of a fourth frame
+    assert spectrogram(Waveform(np.ones(n + dsp.HOP_LEN - 1), 16000)).shape[1] == 3
+    assert spectrogram(Waveform(np.ones(n + dsp.HOP_LEN), 16000)).shape[1] == 4
 
 
 def test_spectrogram_sinusoid_peaks_at_its_bin():
@@ -167,17 +165,16 @@ def test_spectrogram_sinusoid_peaks_at_its_bin():
     t = np.arange(8000) / sr
     wave = Waveform(np.sin(2 * np.pi * (k * sr / fft) * t), sr)
     spec = spectrogram(wave)
-    assert np.all(spec.values.argmax(axis=0) == k)
+    assert np.all(spec.argmax(axis=0) == k)
 
 
 def test_spectrogram_column_matches_single_frame_dft():
-    rng = np.random.default_rng(9)
-    samples = rng.standard_normal(2400)
-    cfg = FrameConfig(window_len_samples=400, hop_samples=160, fft_size=512)
-    spec = spectrogram(Waveform(samples, 16000), cfg)
-    frame = samples[320 : 320 + 400] * hamming_window(400)
-    expected = dft_magnitude(frame, 512)
-    np.testing.assert_allclose(spec.values[:, 2], expected, atol=1e-12)
+    # column 2 against the naive O(L^2) DFT of the third windowed frame
+    samples = np.random.default_rng(9).standard_normal(2400)
+    spec = spectrogram(Waveform(samples, 16000))
+    frame = samples[320 : 320 + 1600] * hamming_window(1600)
+    expected = naive_dft_magnitude(frame, 2048)
+    np.testing.assert_allclose(spec[:, 2], expected, atol=1e-9 * expected.max())
 
 
 def test_spectrogram_columns_are_dft_magnitude_bit_for_bit():
@@ -185,9 +182,9 @@ def test_spectrogram_columns_are_dft_magnitude_bit_for_bit():
     samples = np.random.default_rng(10).standard_normal(6000)
     spec = spectrogram(Waveform(samples, 16000))
     window = hamming_window(dsp.WINDOW_LEN)
-    for col in range(spec.n_frames):
+    for col in range(spec.shape[1]):
         frame = samples[col * dsp.HOP_LEN : col * dsp.HOP_LEN + dsp.WINDOW_LEN] * window
-        assert np.array_equal(spec.values[:, col], dft_magnitude(frame, dsp.FFT_SIZE)), col
+        assert np.array_equal(spec[:, col], dft_magnitude(frame, dsp.FFT_SIZE)), col
 
 
 def test_spectrogram_too_short_rejected():
@@ -195,15 +192,13 @@ def test_spectrogram_too_short_rejected():
         spectrogram(Waveform(np.zeros(1599), 16000))
 
 
-def test_frame_config_validation():
-    with pytest.raises(ValueError):
-        FrameConfig(window_len_samples=0)
-    with pytest.raises(ValueError):
-        FrameConfig(window_len_samples=4096)  # longer than fft_size
-    with pytest.raises(ValueError):
-        FrameConfig(hop_samples=0)
-    with pytest.raises(ValueError):
-        FrameConfig(fft_size=1000)  # not a power of two
+@pytest.mark.parametrize("rate", [8000, 44100])
+def test_spectrogram_rejects_other_sample_rates(rate):
+    # the framing is in samples, so at any other rate it is not 100 ms / 10 ms
+    with pytest.raises(ValueError, match=f"{rate} Hz"):
+        spectrogram(Waveform(np.ones(rate), rate))
+    with pytest.raises(ValueError, match=f"{rate} Hz"):
+        extract_sif(Waveform(np.ones(rate), rate))
 
 
 # --- downsample_freq ------------------------------------------------------------
@@ -211,39 +206,39 @@ def test_frame_config_validation():
 def test_downsample_1024_to_52_discards_top_bins():
     values = np.zeros((1024, 4))
     values[988:, :] = 1e9  # poison the bins that must be discarded
-    out = downsample_freq(Spectrogram(values), 52)
-    assert out.values.shape == (52, 4)
-    assert np.all(out.values == 0.0)
+    out = downsample_freq(values, 52)
+    assert out.shape == (52, 4)
+    assert np.all(out == 0.0)
 
 
 def test_downsample_matches_block_mean_oracle():
     rng = np.random.default_rng(4)
     for n_bins, n_out in [(1024, 52), (64, 7), (10, 10), (33, 4)]:
         values = rng.uniform(0, 5, size=(n_bins, 6))
-        got = downsample_freq(Spectrogram(values), n_out).values
+        got = downsample_freq(values, n_out)
         np.testing.assert_allclose(got, naive_downsample(values, n_out), atol=1e-12)
 
 
 def test_downsample_constant_preserved():
-    out = downsample_freq(Spectrogram(np.full((100, 3), 2.5)), 9)
-    np.testing.assert_allclose(out.values, 2.5, atol=1e-15)
+    out = downsample_freq(np.full((100, 3), 2.5), 9)
+    np.testing.assert_allclose(out, 2.5, atol=1e-15)
 
 
 def test_downsample_identity_when_equal():
     values = np.random.default_rng(1).uniform(size=(16, 3))
-    np.testing.assert_array_equal(downsample_freq(Spectrogram(values), 16).values, values)
+    np.testing.assert_array_equal(downsample_freq(values, 16), values)
 
 
 def test_downsample_preserves_mean_of_retained_bins():
     rng = np.random.default_rng(8)
     values = rng.uniform(0, 3, size=(1024, 5))
-    out = downsample_freq(Spectrogram(values), 52)
+    out = downsample_freq(values, 52)
     retained = values[: 52 * 19]
-    assert abs(out.values.mean() - retained.mean()) / retained.mean() < 1e-12
+    assert abs(out.mean() - retained.mean()) / retained.mean() < 1e-12
 
 
 def test_downsample_bad_bin_counts():
-    spec = Spectrogram(np.ones((8, 2)))
+    spec = np.ones((8, 2))
     with pytest.raises(ValueError):
         downsample_freq(spec, 0)
     with pytest.raises(ValueError):
@@ -253,26 +248,26 @@ def test_downsample_bad_bin_counts():
 # --- denoise ---------------------------------------------------------------------
 
 def test_denoise_subtracts_row_minimum():
-    out = denoise(Spectrogram(np.array([[3.0, 5.0, 4.0]])))
-    np.testing.assert_array_equal(out.values, [[0.0, 2.0, 1.0]])
+    out = denoise(np.array([[3.0, 5.0, 4.0]]))
+    np.testing.assert_array_equal(out, [[0.0, 2.0, 1.0]])
 
 
 def test_denoise_constant_rows_become_zero():
-    out = denoise(Spectrogram(np.full((4, 7), 3.3)))
-    assert np.all(out.values == 0.0)
+    out = denoise(np.full((4, 7), 3.3))
+    assert np.all(out == 0.0)
 
 
 def test_denoise_single_column_is_all_zero():
-    out = denoise(Spectrogram(np.array([[5.0], [2.0]])))
-    assert np.all(out.values == 0.0)
+    out = denoise(np.array([[5.0], [2.0]]))
+    assert np.all(out == 0.0)
 
 
 def test_denoise_row_minima_exactly_zero():
     rng = np.random.default_rng(5)
-    spec = Spectrogram(rng.uniform(1, 9, size=(20, 30)))
+    spec = rng.uniform(1, 9, size=(20, 30))
     out = denoise(spec)
-    assert np.all(out.values.min(axis=1) == 0.0)
-    assert np.all(out.values >= 0.0)
+    assert np.all(out.min(axis=1) == 0.0)
+    assert np.all(out >= 0.0)
 
 
 # --- extract_sif -------------------------------------------------------------------

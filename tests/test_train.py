@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,13 +84,18 @@ def test_config_validation():
         TrainConfig(copies_per_snr=0)
 
 
-def test_with_overrides_replaces_fields():
-    cfg = TrainConfig(**TINY)
-    other = cfg.with_overrides(widths=(5,), epochs=3)
-    assert other.widths == (5,)
-    assert other.epochs == 3
-    assert other.seed == cfg.seed
-    assert cfg.widths == (1, 3)  # original untouched
+@pytest.mark.parametrize("snrs", [(10.0, 10.0), (0.0, -0.0), (20.0, 5.0, 20.0)])
+def test_train_config_rejects_repeated_snrs(snrs):
+    # repeats would train on duplicated copies and share one test stream
+    with pytest.raises(ValueError, match="distinct"):
+        TrainConfig(snrs=snrs)
+    TrainConfig(snrs=(7.0000001, 7.0000002))
+
+
+def test_config_text_spells_snrs_exactly():
+    # %g would write 12.3457, which reads back as another SNR and condition
+    text = config_text(TrainConfig(snrs=(12.3456789, 20.0, 2.5, -0.5)))
+    assert "snrs=12.3456789,20,2.5,-0.5" in text.splitlines()
 
 
 def test_config_text_lists_every_knob():
@@ -310,11 +316,11 @@ def test_feature_digest_keys_on_feature_settings(tiny_corpus):
     sample = cs.train[0]
     base = feature_digest(cfg, sample)
     assert feature_digest(cfg, sample) == base
-    assert feature_digest(cfg.with_overrides(with_energy=True), sample) != base
-    assert feature_digest(cfg.with_overrides(n_freq=26), sample) != base
+    assert feature_digest(replace(cfg, with_energy=True), sample) != base
+    assert feature_digest(replace(cfg, n_freq=26), sample) != base
     # training hyperparameters must not invalidate the cache
-    assert feature_digest(cfg.with_overrides(learning_rate=1.0), sample) == base
-    assert feature_digest(cfg.with_overrides(epochs=9), sample) == base
+    assert feature_digest(replace(cfg, learning_rate=1.0), sample) == base
+    assert feature_digest(replace(cfg, epochs=9), sample) == base
 
 
 def test_feature_digest_keys_clean_clips_without_the_seed(tiny_corpus):

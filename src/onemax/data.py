@@ -498,6 +498,8 @@ def build_condition_set(
         raise ValueError(f"regime must be 'mismatched' or 'multi', got {regime!r}")
     if copies_per_snr < 1:
         raise ValueError(f"copies_per_snr must be >= 1, got {copies_per_snr}")
+    if len({condition_name(s) for s in snrs}) != len(snrs):
+        raise ValueError(f"snrs must name distinct conditions, got {tuple(snrs)}")
     if not bank.waves:
         raise ValueError("noise bank is empty")
 

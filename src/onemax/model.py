@@ -3,7 +3,7 @@
 Architecture: Q groups of P time-convolution filters (each filter spans
 all input rows and w columns), ReLU, per-filter 1-max pooling over the
 valid (un-padded) time range, dropout on the pooled vector, softmax.
-Gradients are hand-derived for exactly this shape — the 1-max pool makes
+The gradients are hand-derived for exactly this shape — the 1-max pool makes
 them cheap, since each filter's gradient flows through a single column
 window of the input.
 """
@@ -124,20 +124,26 @@ class ModelParams:
         out.append(("softmax.biases", self.softmax.biases))
         return out
 
-    def copy(self) -> "ModelParams":
+    def map(self, fn) -> "ModelParams":
+        """The same tree with fn applied to every block."""
+        bank = self.bank
         return ModelParams(
             bank=FilterBank(
-                widths=self.bank.widths,
-                filters_per_width=self.bank.filters_per_width,
-                weights=[w.copy() for w in self.bank.weights],
-                biases=[b.copy() for b in self.bank.biases],
+                widths=bank.widths,
+                filters_per_width=bank.filters_per_width,
+                weights=[fn(w) for w in bank.weights],
+                biases=[fn(b) for b in bank.biases],
             ),
-            softmax=SoftmaxParams(
-                weights=self.softmax.weights.copy(),
-                biases=self.softmax.biases.copy(),
-            ),
+            softmax=SoftmaxParams(weights=fn(self.softmax.weights), biases=fn(self.softmax.biases)),
             n_classes=self.n_classes,
         )
+
+    def copy(self) -> "ModelParams":
+        return self.map(np.copy)
+
+    def arrays(self) -> list[np.ndarray]:
+        """The blocks' arrays in blocks() order."""
+        return [arr for _, arr in self.blocks()]
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(arr)) for _, arr in self.blocks())
@@ -147,6 +153,7 @@ class ModelParams:
 class ForwardTrace:
     """Intermediate values of one forward pass, kept for the backward pass."""
 
+    true_len: int                                    # input columns the pass read
     pre_relu: list[np.ndarray] = field(repr=False)   # per group [P, L_q]
     argmax: list[np.ndarray]                         # per group [P] positions
     pooled: np.ndarray                               # [P*Q], post-ReLU maxima
@@ -155,37 +162,6 @@ class ForwardTrace:
     softmax_input: np.ndarray                        # pooled vector entering softmax
     logits: np.ndarray
     y_hat: np.ndarray
-
-
-@dataclass
-class Gradients:
-    """d(loss)/d(theta), shaped exactly like the ModelParams they differentiate."""
-
-    conv_weights: list[np.ndarray]
-    conv_biases: list[np.ndarray]
-    softmax_weights: np.ndarray
-    softmax_biases: np.ndarray
-
-    def blocks(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for q in range(len(self.conv_weights)):
-            out.append((f"conv{q}.weights", self.conv_weights[q]))
-            out.append((f"conv{q}.biases", self.conv_biases[q]))
-        out.append(("softmax.weights", self.softmax_weights))
-        out.append(("softmax.biases", self.softmax_biases))
-        return out
-
-    def arrays(self) -> list[np.ndarray]:
-        return [arr for _, arr in self.blocks()]
-
-
-def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients(
-        conv_weights=[np.zeros_like(w) for w in params.bank.weights],
-        conv_biases=[np.zeros_like(b) for b in params.bank.biases],
-        softmax_weights=np.zeros_like(params.softmax.weights),
-        softmax_biases=np.zeros_like(params.softmax.biases),
-    )
 
 
 def init_params(
@@ -248,14 +224,15 @@ def forward(
 ) -> ForwardTrace:
     """One forward pass.
 
-    Each width-w group pools over valid_len = max(1, true_len - w + 1)
+    The clip may have any number of columns; only its first true_len are
+    read. Each width-w group pools over valid_len = max(1, true_len - w + 1)
     positions. Its [P, valid_len] pre-activation is a sum of w BLAS
     products, one per filter offset j, added in the fixed order
     j = 0 .. w-1: the [positions, rows] slice of the input that offset j
     reads, times that offset's [rows, P] filter column. The slices come
-    from a zero buffer that holds the clip's first max(true_len, w)
-    columns, and whose shape depends on nothing else, so padding beyond
-    true_len cannot change a bit.
+    from a zero buffer that holds the clip's first true_len columns, and
+    whose shape depends on nothing else, so a clip narrower than w is
+    zero-padded here and nothing past true_len can change a bit.
 
     Positions are padded to a multiple of POSITION_BLOCK. A BLAS library
     may send a product's rows through different kernels, which round
@@ -282,19 +259,13 @@ def forward(
     t = sif.shape[1]
     if not 1 <= true_len <= t:
         raise ValueError(f"true_len must be in [1, {t}], got {true_len}")
-    if t < max(params.bank.widths):
-        raise ValueError(
-            f"input has {t} columns, narrower than the widest filter "
-            f"({max(params.bank.widths)}); pad with pad_to_min first"
-        )
 
     pre_list, argmax_list, pooled_parts = [], [], []
     for q, w in enumerate(params.bank.widths):
-        n = max(true_len, w)
-        valid_len = n - w + 1
+        valid_len = max(true_len - w + 1, 1)
         positions = -(-valid_len // POSITION_BLOCK) * POSITION_BLOCK
         buf = np.zeros((sif.shape[0], positions + w - 1))
-        buf[:, :n] = sif[:, :n]
+        buf[:, :true_len] = sif[:, :true_len]
         taps = np.ascontiguousarray(params.bank.weights[q].transpose(2, 1, 0))  # [w, rows, P]
         acc = buf[:, :positions].T @ taps[0]
         for j in range(1, w):
@@ -323,6 +294,7 @@ def forward(
     y_hat = exp / exp.sum()
 
     return ForwardTrace(
+        true_len=true_len,
         pre_relu=pre_list,
         argmax=argmax_list,
         pooled=pooled,
@@ -383,15 +355,16 @@ def backward(
     target_class: int,
     l2_lambda: float,
     regularize_biases: bool = False,
-) -> Gradients:
-    """Exact gradients of loss() for one sample.
+) -> ModelParams:
+    """Exact gradients of loss() for one sample, as a tree shaped like params.
 
     The softmax layer sees (y_hat - onehot) x softmax_input; the dropout
     mask and 1/keep scale apply on the way back exactly as they did
     forward. Each conv filter's gradient flows only through the column
     window that won its 1-max pool, and is zero when that window's
-    pre-activation was clipped by the ReLU. The L2 term contributes
-    lambda * theta for every regularized parameter.
+    pre-activation was clipped by the ReLU. Windows are read from the
+    same first trace.true_len columns forward read. The L2 term
+    contributes lambda * theta for every regularized parameter.
     """
     sif = np.asarray(sif, dtype=np.float64)
     if sif.shape[0] != params.input_rows:
@@ -403,33 +376,36 @@ def backward(
             f"trace pooled dim {len(trace.pooled)} does not match model "
             f"{params.bank.pooled_dim}"
         )
-    grads = zero_gradients(params)
+    if sif.shape[1] < trace.true_len:
+        raise ValueError(
+            f"input has {sif.shape[1]} columns, forward read {trace.true_len}"
+        )
+    grads = params.map(np.zeros_like)
 
     dlogits = trace.y_hat.copy()
     dlogits[target_class] -= 1.0
-    grads.softmax_weights[:] = np.outer(dlogits, trace.softmax_input)
-    grads.softmax_biases[:] = dlogits
+    grads.softmax.weights[:] = np.outer(dlogits, trace.softmax_input)
+    grads.softmax.biases[:] = dlogits
     dpooled = params.softmax.weights.T @ dlogits
     if trace.dropout_mask is not None:
         dpooled = dpooled * trace.dropout_mask / trace.keep_prob
 
+    # pooled = max(relu(pre)), so a filter is live exactly when it is positive
+    live_all = trace.pooled > 0.0
+    clip, _ = pad_to_min(sif[:, : trace.true_len], max(params.bank.widths))
     p = params.bank.filters_per_width
     for q, w in enumerate(params.bank.widths):
         idx = trace.argmax[q]
-        live = trace.pre_relu[q][np.arange(p), idx] > 0.0
+        live = live_all[q * p : (q + 1) * p]
         d = dpooled[q * p : (q + 1) * p][live]
-        windows = np.lib.stride_tricks.sliding_window_view(sif, (sif.shape[0], w))[0]
-        grads.conv_weights[q][live] = d[:, None, None] * windows[idx[live]]
-        grads.conv_biases[q][live] = d
+        windows = np.lib.stride_tricks.sliding_window_view(clip, (clip.shape[0], w))[0]
+        grads.bank.weights[q][live] = d[:, None, None] * windows[idx[live]]
+        grads.bank.biases[q][live] = d
 
     if l2_lambda != 0.0:
-        for q in range(params.bank.n_groups):
-            grads.conv_weights[q] += l2_lambda * params.bank.weights[q]
-        grads.softmax_weights += l2_lambda * params.softmax.weights
-        if regularize_biases:
-            for q in range(params.bank.n_groups):
-                grads.conv_biases[q] += l2_lambda * params.bank.biases[q]
-            grads.softmax_biases += l2_lambda * params.softmax.biases
+        for (name, g), (_, theta) in zip(grads.blocks(), params.blocks()):
+            if name.endswith(".weights") or regularize_biases:
+                g += l2_lambda * theta
     return grads
 
 

@@ -28,6 +28,7 @@ from .data import (
     NoiseBank,
     REGIMES,
     Sample,
+    WavFormatError,
     build_condition_set,
     condition_name,
     make_batches,
@@ -162,8 +163,7 @@ class TrainReport:
     val_acc: list[float]
     best_epoch: int
     best_val_acc: float
-    test_acc: dict[str, float] = field(default_factory=dict)
-    mean_acc: float = float("nan")
+    test_acc: dict[str, float] = field(default_factory=dict)  # ends with "mean"
     wall_seconds: float = 0.0
 
     def epoch_lines(self) -> list[str]:
@@ -185,16 +185,14 @@ class TrainReport:
         )
         if self.test_acc:
             lines.append("")
-            lines.append(accuracy_table(self.test_acc, self.mean_acc))
+            lines.append(accuracy_table(self.test_acc))
         return "\n".join(lines)
 
 
-def accuracy_table(test_acc: dict[str, float], mean_acc: float) -> str:
-    """Text accuracy row: one column per condition plus the mean."""
-    names = list(test_acc) + ["mean"]
-    values = [test_acc[c] for c in test_acc] + [mean_acc]
-    header = "  ".join(f"{n:>8}" for n in names)
-    row = "  ".join(f"{v:>8.4f}" for v in values)
+def accuracy_table(acc: dict[str, float]) -> str:
+    """Text accuracy row: one column per condition, then the dict's "mean"."""
+    header = "  ".join(f"{n:>8}" for n in acc)
+    row = "  ".join(f"{v:>8.4f}" for v in acc.values())
     return header + "\n" + row
 
 
@@ -247,7 +245,12 @@ def extract_features(
     config: TrainConfig,
     cache_dir=None,
 ) -> list[np.ndarray]:
-    """SIF matrices for a sample stream, via the cache directory when given."""
+    """SIF matrices for a sample stream, via the cache directory when given.
+
+    A data error in loading, mixing or extracting one sample is raised as
+    a ValueError that names the clip and its condition; a failure to write
+    the cache entry is raised as it is.
+    """
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
@@ -258,13 +261,15 @@ def extract_features(
         if cached is not None:
             out.append(cached)
             continue
-        wave = resolve_sample(sample, manifest, bank)
-        sif = dsp.extract_sif(
-            wave,
-            n_freq=config.n_freq,
-            with_energy=config.with_energy,
-            energy_scale=config.energy_scale,
-        )
+        try:
+            sif = dsp.extract_sif(
+                resolve_sample(sample, manifest, bank),
+                n_freq=config.n_freq,
+                with_energy=config.with_energy,
+                energy_scale=config.energy_scale,
+            )
+        except (WavFormatError, OSError, ValueError) as exc:
+            raise ValueError(f"{sample.record.path} [{sample.condition}]: {exc}") from exc
         if path is not None:
             dsp.write_sif(sif, path)
         out.append(sif.values)
@@ -274,8 +279,7 @@ def extract_features(
 def _accuracy(params: model.ModelParams, sifs: list[np.ndarray], labels: list[int]) -> float:
     correct = 0
     for sif, label in zip(sifs, labels):
-        padded, true_len = model.pad_to_min(sif, max(params.bank.widths))
-        trace = model.forward(params, padded, true_len, mode="eval")
+        trace = model.forward(params, sif, sif.shape[1], mode="eval")
         correct += int(np.argmax(trace.y_hat)) == label
     return correct / len(sifs)
 
@@ -287,6 +291,14 @@ def _check_manifest(manifest: Manifest) -> None:
             raise ValueError(f"manifest has no records in the {split!r} split")
     if manifest.n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {manifest.n_classes}")
+
+
+def _condition_set(config: TrainConfig, manifest: Manifest, bank: NoiseBank) -> ConditionSet:
+    return build_condition_set(
+        manifest, bank, config.regime, config.seed,
+        snrs=config.snrs, copies_per_snr=config.copies_per_snr,
+        validate_clean_only=config.validate_clean_only,
+    )
 
 
 def train(
@@ -306,17 +318,8 @@ def train(
     t0 = time.monotonic()
     _check_manifest(manifest)
 
-    cs = build_condition_set(
-        manifest, bank, config.regime, config.seed,
-        snrs=config.snrs, copies_per_snr=config.copies_per_snr,
-        validate_clean_only=config.validate_clean_only,
-    )
-    # each clip padded once, to the widest filter only, so what it pools
-    # over never depends on which clips share its minibatch
-    train_clips = [
-        model.pad_to_min(x, max(config.widths))
-        for x in extract_features(cs.train, manifest, bank, config, cache_dir)
-    ]
+    cs = _condition_set(config, manifest, bank)
+    train_clips = extract_features(cs.train, manifest, bank, config, cache_dir)
     train_labels = [s.class_index for s in cs.train]
     val_sifs = extract_features(cs.validation, manifest, bank, config, cache_dir)
     val_labels = [s.class_index for s in cs.validation]
@@ -349,10 +352,10 @@ def train(
             grad_sum = None
             batch_ce = 0.0
             for i in batch.tolist():
-                sif, true_len = train_clips[i]
+                sif = train_clips[i]
                 target = train_labels[i]
                 trace = model.forward(
-                    params, sif, true_len, mode="train",
+                    params, sif, sif.shape[1], mode="train",
                     dropout_rate=config.dropout_rate,
                     rng_seed=derive_seed(config.seed, "dropout", epoch, i),
                 )
@@ -401,7 +404,6 @@ def train(
         best_val_acc=best_acc,
     )
     report.test_acc = _test_accuracy(best_params, cs, manifest, bank, config, cache_dir)
-    report.mean_acc = report.test_acc.pop("mean")
     report.wall_seconds = time.monotonic() - t0
     return best_params, report
 
@@ -427,11 +429,7 @@ def evaluate(
             f"checkpoint expects {params.input_rows} input rows, "
             f"config produces {config.input_rows}"
         )
-    cs = build_condition_set(
-        manifest, bank, config.regime, config.seed,
-        snrs=config.snrs, copies_per_snr=config.copies_per_snr,
-        validate_clean_only=config.validate_clean_only,
-    )
+    cs = _condition_set(config, manifest, bank)
     return _test_accuracy(params, cs, manifest, bank, config, cache_dir)
 
 
@@ -462,22 +460,23 @@ def width_sweep(
 ) -> list[dict]:
     """Train one single-width model per width; report per-condition accuracy.
 
-    A manifest-wide data error raises once, before any width is trained.
-    A failed width is recorded with its error message and the sweep
+    Features do not depend on the width, so every stream is extracted once,
+    before any width is trained, into the cache directory or else a
+    temporary one. A manifest-wide or per-clip data error therefore raises
+    once. A failed width is recorded with its error message and the sweep
     continues. Each row: {"width": w, "accuracy": {...}, "error": None}.
-    Features do not depend on the width, so without a cache directory the
-    sweep extracts them once into a temporary one.
     """
     _check_manifest(manifest)
+    cs = _condition_set(base_config, manifest, bank)
     rows = []
     with nullcontext(cache_dir) if cache_dir is not None else TemporaryDirectory() as cache:
+        for samples in (cs.train, cs.validation, *cs.test.values()):
+            extract_features(samples, manifest, bank, base_config, cache)
         for w in widths_list:
             try:
                 config = replace(base_config, widths=(int(w),))
                 _, report = train(config, manifest, bank, cache)
-                acc = dict(report.test_acc)
-                acc["mean"] = report.mean_acc
-                rows.append({"width": int(w), "accuracy": acc, "error": None})
+                rows.append({"width": int(w), "accuracy": report.test_acc, "error": None})
             except (ValueError, RuntimeError, OSError) as exc:
                 rows.append({"width": int(w), "accuracy": None, "error": str(exc)})
     return rows

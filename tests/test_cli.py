@@ -14,6 +14,7 @@ from onemax.cli import (
     main,
     resolve_train_config,
 )
+from onemax import model
 from onemax.dsp import read_sif
 from onemax.model import load_checkpoint
 from onemax.train import TrainConfig, config_text, value_text
@@ -327,7 +328,7 @@ def test_train_without_validation_records_is_data_error(corpus_dir, tmp_path, ca
 
 
 def test_train_rejects_clip_at_another_rate(corpus_dir, tmp_path, capsys):
-    corpus_with_slow_clip(corpus_dir, tmp_path / "corpus")
+    slow = corpus_with_slow_clip(corpus_dir, tmp_path / "corpus")
     out = tmp_path / "m.1max"
     code, _, stderr = run(capsys, [
         "train", "--manifest", str(tmp_path / "corpus" / "manifest.tsv"),
@@ -335,6 +336,7 @@ def test_train_rejects_clip_at_another_rate(corpus_dir, tmp_path, capsys):
     ])
     assert code == 1
     assert "8000 Hz" in stderr
+    assert f"error: {slow} [clean]: " in stderr
     assert not out.exists()
 
 
@@ -617,6 +619,18 @@ def test_sweep_reports_manifest_error_once(corpus_dir, tmp_path, capsys):
     assert stderr.splitlines() == ["error: manifest has no records in the 'validation' split"]
 
 
+def test_sweep_reports_clip_error_once(corpus_dir, tmp_path, capsys):
+    slow = corpus_with_slow_clip(corpus_dir, tmp_path / "corpus")
+    code, stdout, stderr = run(capsys, [
+        "sweep", "--manifest", str(tmp_path / "corpus" / "manifest.tsv"),
+        "--widths", "1,3,5", "--filters", "2", "--epochs", "1", *SEED,
+    ])
+    assert code == 1
+    assert stdout == ""
+    [line] = stderr.splitlines()
+    assert line.startswith(f"error: {slow} [clean]: sample rate 8000 Hz")
+
+
 def test_sweep_reports_failed_width(corpus_dir, cache_dir, capsys):
     code, stdout, stderr = run(capsys, [
         "sweep", "--manifest", str(corpus_dir / "manifest.tsv"),
@@ -637,10 +651,16 @@ def test_gradcheck_passes(capsys):
     assert "PASS" in stdout
 
 
-def test_gradcheck_negative_control_fails(capsys):
-    code, stdout, _ = run(capsys, [
-        "gradcheck", "--trials", "1", "--break-gradient", *SEED,
-    ])
+def test_gradcheck_negative_control_fails(capsys, monkeypatch):
+    exact = model.backward
+
+    def broken(*args, **kwargs):
+        grads = exact(*args, **kwargs)
+        grads.bank.weights[0].reshape(-1)[0] += 1e-3
+        return grads
+
+    monkeypatch.setattr(model, "backward", broken)
+    code, stdout, _ = run(capsys, ["gradcheck", "--trials", "1", *SEED])
     assert code == 1
     assert "FAIL" in stdout
 

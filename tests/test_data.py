@@ -504,6 +504,13 @@ def test_build_condition_set_validation(tiny_corpus):
         build_condition_set(manifest, bank, "multi", rng_seed=0, copies_per_snr=0)
 
 
+@pytest.mark.parametrize("snrs", [(10.0, 10.0), (0.0, 20.0, 0.0)])
+def test_build_condition_set_rejects_repeated_snrs(tiny_corpus, snrs):
+    manifest, bank, _ = tiny_corpus
+    with pytest.raises(ValueError, match="distinct"):
+        build_condition_set(manifest, bank, "multi", rng_seed=0, snrs=snrs)
+
+
 def test_resolve_sample_clean_and_corrupted(tiny_corpus):
     manifest, bank, _ = tiny_corpus
     cs = build_condition_set(manifest, bank, "multi", rng_seed=3)

@@ -404,8 +404,6 @@ def test_forward_validation_errors():
         forward(params, sif, 10, mode="predict")
     with pytest.raises(ValueError):
         forward(params, sif, 10, dropout_rate=1.0)
-    with pytest.raises(ValueError):
-        forward(params, np.ones((8, 2)), 2)  # narrower than widest filter
 
 
 # --- loss ---------------------------------------------------------------------------------
@@ -476,9 +474,9 @@ def test_backward_exact_prediction_gives_zero_softmax_grads():
     trace = forward(params, sif, 5)
     trace.y_hat = np.array([0.0, 1.0, 0.0])
     grads = backward(params, trace, sif, 1, 0.0)
-    assert np.all(grads.softmax_weights == 0.0)
-    assert np.all(grads.softmax_biases == 0.0)
-    for g in grads.conv_weights:
+    assert np.all(grads.softmax.weights == 0.0)
+    assert np.all(grads.softmax.biases == 0.0)
+    for g in grads.bank.weights:
         assert np.all(g == 0.0)
 
 
@@ -489,9 +487,44 @@ def test_backward_relu_clipped_filter_gets_zero_gradient():
     trace = forward(params, sif, 10)
     assert np.all(trace.pooled == 0.0)
     grads = backward(params, trace, sif, 0, 0.0)
-    assert np.all(grads.conv_weights[0] == 0.0)
-    assert np.all(grads.conv_biases[0] == 0.0)
-    assert not np.all(grads.softmax_biases == 0.0)
+    assert np.all(grads.bank.weights[0] == 0.0)
+    assert np.all(grads.bank.biases[0] == 0.0)
+    assert not np.all(grads.softmax.biases == 0.0)
+
+
+def _pass_bytes(params, sif, true_len, target=1, lam=1e-2):
+    """Pooled vector, y_hat and every gradient block of one train-mode pass, as bytes."""
+    trace = forward(params, sif, true_len, mode="train", rng_seed=7)
+    grads = backward(params, trace, sif, target, lam, regularize_biases=True)
+    return [trace.pooled.tobytes(), trace.y_hat.tobytes()] + [g.tobytes() for g in grads.arrays()]
+
+
+def test_columns_past_true_len_are_never_read():
+    params = small_params(seed=27, widths=(1, 5))
+    rng = np.random.default_rng(28)
+    for true_len in (1, 3, 4):
+        random_tail = rng.uniform(0, 2, size=(8, 9))
+        zero_tail = random_tail.copy()
+        zero_tail[:, true_len:] = 0.0
+        assert _pass_bytes(params, random_tail, true_len) == _pass_bytes(
+            params, zero_tail, true_len
+        )
+
+
+def test_narrow_clip_equals_its_padded_copy():
+    params = small_params(seed=29, widths=(1, 3, 5))
+    sif = np.random.default_rng(30).uniform(0, 2, size=(8, 2))
+    padded, true_len = pad_to_min(sif, 5)
+    assert _pass_bytes(params, sif, 2) == _pass_bytes(params, padded, true_len)
+
+
+def test_gradient_tree_mirrors_params():
+    params = small_params(seed=31)
+    sif = np.random.default_rng(32).uniform(0, 2, size=(8, 6))
+    grads = backward(params, forward(params, sif, 6), sif, 0, 1e-4)
+    assert [(n, a.shape) for n, a in grads.blocks()] == [
+        (n, a.shape) for n, a in params.blocks()
+    ]
 
 
 def test_gradients_match_finite_differences_eval_mode():

@@ -284,10 +284,10 @@ def cmd_sweep(args, file_cfg) -> int:
 
 
 def cmd_gradcheck(args, file_cfg) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    for flag, v in (("--trials", args.trials), ("--h", args.h), ("--tolerance", args.tolerance)):
+        if not (np.isfinite(v) and v > 0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {v}")
     seed = resolve_seed(args, file_cfg)
-    tolerance = args.tolerance
     worst = 0.0
     for t in range(args.trials):
         rng = np.random.default_rng(derive_seed(seed, "gradcheck", t))
@@ -310,15 +310,15 @@ def cmd_gradcheck(args, file_cfg) -> int:
         trial_worst = 0.0
         for a, f in zip(analytic.arrays(), fd):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
-            trial_worst = max(trial_worst, float(np.max(np.abs(a - f) / denom)))
-        worst = max(worst, trial_worst)
+            trial_worst = np.maximum(trial_worst, np.max(np.abs(a - f) / denom))
+        worst = np.maximum(worst, trial_worst)  # a NaN error survives, and fails
         print(
             f"trial {t}: rows={rows} T={n_cols} widths={widths} P={p} "
             f"classes={n_classes} lambda={lam:g} max_rel_err={trial_worst:.3e}"
         )
-    passed = worst < tolerance
+    passed = worst < args.tolerance
     print(f"max relative error {worst:.3e} over {args.trials} trials "
-          f"({'PASS' if passed else 'FAIL'}, tolerance {tolerance:g})")
+          f"({'PASS' if passed else 'FAIL'}, tolerance {args.tolerance:g})")
     return 0 if passed else 1
 
 

@@ -470,7 +470,6 @@ class Sample:
 class ConditionSet:
     """Sample streams for one training regime."""
 
-    regime: str
     train: list[Sample]
     validation: list[Sample]
     test: dict[str, list[Sample]] = field(default_factory=dict)
@@ -525,7 +524,7 @@ def build_condition_set(
     test = {"clean": clean(test_recs)}
     for snr in snrs:
         test[condition_name(snr)] = [make_sample(manifest, r, snr, rng_seed) for r in test_recs]
-    return ConditionSet(regime=regime, train=train, validation=validation, test=test)
+    return ConditionSet(train=train, validation=validation, test=test)
 
 
 def make_sample(

@@ -4,8 +4,9 @@ Each epoch: shuffled minibatches, per-sample forward (train mode) and
 backward, arithmetic-mean gradient over the batch, one Adam step. After
 every epoch the clean-or-corrupted validation stream is scored in eval
 mode and the best-scoring parameter snapshot is retained (ties keep the
-earlier epoch). Features are extracted once up front — optionally through
-an on-disk cache — so the DSP cost is paid a single time.
+earlier epoch). Every stream's features are extracted once up front —
+optionally through an on-disk cache — so the DSP cost is paid a single
+time and a bad clip fails the run before it trains.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from tempfile import TemporaryDirectory
 
 import numpy as np
 
@@ -91,8 +90,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be 'mismatched' or 'multi', got {self.regime!r}")
-        if self.n_freq < 1:
-            raise ValueError("n_freq must be >= 1")
+        if not 1 <= self.n_freq <= dsp.FFT_SIZE // 2:
+            raise ValueError(f"n_freq must be in [1, {dsp.FFT_SIZE // 2}], got {self.n_freq}")
         if self.copies_per_snr < 1:
             raise ValueError("copies_per_snr must be >= 1")
 
@@ -301,6 +300,23 @@ def _condition_set(config: TrainConfig, manifest: Manifest, bank: NoiseBank) -> 
     )
 
 
+Stream = tuple[list[np.ndarray], list[int]]  # a loaded stream: SIF matrices, class indices
+
+
+def _load(streams: dict[str, list[Sample]], manifest, bank, config, cache_dir):
+    """Each named sample stream's loaded Stream, under the same name."""
+    return {name: (extract_features(samples, manifest, bank, config, cache_dir),
+                   [s.class_index for s in samples]) for name, samples in streams.items()}
+
+
+def _load_all(config, manifest, bank, cache_dir) -> tuple[Stream, Stream, dict[str, Stream]]:
+    """Check the manifest, expand it once, and load its train, validation and test streams."""
+    _check_manifest(manifest)
+    cs = _condition_set(config, manifest, bank)
+    fit = _load({"train": cs.train, "validation": cs.validation}, manifest, bank, config, cache_dir)
+    return fit["train"], fit["validation"], _load(cs.test, manifest, bank, config, cache_dir)
+
+
 def train(
     config: TrainConfig,
     manifest: Manifest,
@@ -310,24 +326,25 @@ def train(
 ) -> tuple[model.ModelParams, TrainReport]:
     """Train on the manifest's train split; return the best snapshot and report.
 
-    The returned parameters are the ones that maximized validation
-    accuracy (earliest epoch on ties, including the untrained epoch 0).
-    The report carries the full learning curve and the test-accuracy row
-    of the retained model. Bit-deterministic for a fixed (config, corpus).
+    Every stream, test streams included, is loaded before epoch 1. The
+    returned parameters maximized validation accuracy (earliest epoch on
+    ties, including the untrained epoch 0); the report carries the learning
+    curve and the retained model's test-accuracy row. Bit-deterministic
+    for a fixed (config, corpus).
     """
     t0 = time.monotonic()
-    _check_manifest(manifest)
+    streams = _load_all(config, manifest, bank, cache_dir)
+    params, report = _fit(config, manifest.n_classes, *streams, progress)
+    report.wall_seconds = time.monotonic() - t0
+    return params, report
 
-    cs = _condition_set(config, manifest, bank)
-    train_clips = extract_features(cs.train, manifest, bank, config, cache_dir)
-    train_labels = [s.class_index for s in cs.train]
-    val_sifs = extract_features(cs.validation, manifest, bank, config, cache_dir)
-    val_labels = [s.class_index for s in cs.validation]
-    if not val_sifs:
-        raise ValueError("validation split is empty")
 
+def _fit(config: TrainConfig, n_classes: int, train_set: Stream, validation: Stream,
+         test: dict[str, Stream], progress=None) -> tuple[model.ModelParams, TrainReport]:
+    """train()'s epoch loop and final test scoring, on loaded streams."""
+    train_clips, train_labels = train_set
     params = model.init_params(
-        n_classes=manifest.n_classes,
+        n_classes=n_classes,
         input_rows=config.input_rows,
         widths=config.widths,
         filters_per_width=config.filters_per_width,
@@ -335,7 +352,7 @@ def train(
     )
     state = adam_init(params.blocks(), alpha=config.learning_rate)
 
-    val_curve = [_accuracy(params, val_sifs, val_labels)]
+    val_curve = [_accuracy(params, *validation)]
     best_params = params.copy()
     best_acc = val_curve[0]
     best_epoch = 0
@@ -388,7 +405,7 @@ def train(
         n_train = len(train_clips)
         loss_curve.append(epoch_ce / n_train + epoch_reg / n_train)
 
-        acc = _accuracy(params, val_sifs, val_labels)
+        acc = _accuracy(params, *validation)
         val_curve.append(acc)
         if acc > best_acc:
             best_acc = acc
@@ -402,9 +419,8 @@ def train(
         val_acc=val_curve,
         best_epoch=best_epoch,
         best_val_acc=best_acc,
+        test_acc=_test_accuracy(best_params, test),
     )
-    report.test_acc = _test_accuracy(best_params, cs, manifest, bank, config, cache_dir)
-    report.wall_seconds = time.monotonic() - t0
     return best_params, report
 
 
@@ -430,24 +446,13 @@ def evaluate(
             f"config produces {config.input_rows}"
         )
     cs = _condition_set(config, manifest, bank)
-    return _test_accuracy(params, cs, manifest, bank, config, cache_dir)
+    return _test_accuracy(params, _load(cs.test, manifest, bank, config, cache_dir))
 
 
-def _test_accuracy(
-    params: model.ModelParams,
-    cs: ConditionSet,
-    manifest: Manifest,
-    bank: NoiseBank,
-    config: TrainConfig,
-    cache_dir,
-) -> dict[str, float]:
-    """Accuracy on each of cs's test streams, in condition order, then their "mean"."""
-    out: dict[str, float] = {}
-    for condition, samples in cs.test.items():
-        sifs = extract_features(samples, manifest, bank, config, cache_dir)
-        labels = [s.class_index for s in samples]
-        out[condition] = _accuracy(params, sifs, labels)
-    out["mean"] = float(np.mean([v for v in out.values()]))
+def _test_accuracy(params: model.ModelParams, test: dict[str, Stream]) -> dict[str, float]:
+    """Accuracy on each loaded test stream, in condition order, then their "mean"."""
+    out = {condition: _accuracy(params, *stream) for condition, stream in test.items()}
+    out["mean"] = float(np.mean(list(out.values())))
     return out
 
 
@@ -460,25 +465,20 @@ def width_sweep(
 ) -> list[dict]:
     """Train one single-width model per width; report per-condition accuracy.
 
-    Features do not depend on the width, so every stream is extracted once,
-    before any width is trained, into the cache directory or else a
-    temporary one. A manifest-wide or per-clip data error therefore raises
-    once. A failed width is recorded with its error message and the sweep
-    continues. Each row: {"width": w, "accuracy": {...}, "error": None}.
+    Features do not depend on the width, so every stream is loaded once, in
+    memory (through the cache directory when given), and a data error raises
+    once, before any width is fitted. A width that cannot be built or that
+    diverges becomes a row with its error message, and the sweep continues.
+    Each row: {"width": w, "accuracy": {...}, "error": None}.
     """
-    _check_manifest(manifest)
-    cs = _condition_set(base_config, manifest, bank)
+    streams = _load_all(base_config, manifest, bank, cache_dir)
     rows = []
-    with nullcontext(cache_dir) if cache_dir is not None else TemporaryDirectory() as cache:
-        for samples in (cs.train, cs.validation, *cs.test.values()):
-            extract_features(samples, manifest, bank, base_config, cache)
-        for w in widths_list:
-            try:
-                config = replace(base_config, widths=(int(w),))
-                _, report = train(config, manifest, bank, cache)
-                rows.append({"width": int(w), "accuracy": report.test_acc, "error": None})
-            except (ValueError, RuntimeError, OSError) as exc:
-                rows.append({"width": int(w), "accuracy": None, "error": str(exc)})
+    for w in map(int, widths_list):
+        try:
+            _, report = _fit(replace(base_config, widths=(w,)), manifest.n_classes, *streams)
+            rows.append({"width": w, "accuracy": report.test_acc, "error": None})
+        except (ValueError, RuntimeError) as exc:
+            rows.append({"width": w, "accuracy": None, "error": str(exc)})
     return rows
 
 

@@ -294,6 +294,20 @@ def test_train_rejects_bad_dropout_before_touching_disk(corpus_dir, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "extract"])
+def test_n_freq_above_the_spectrum_is_usage_error_before_touching_disk(
+    corpus_dir, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    code, _, stderr = run(capsys, [
+        command, "--manifest", str(corpus_dir / "manifest.tsv"),
+        "--out", str(out), "--n-freq", "2000", *SEED,
+    ])
+    assert code == 2
+    assert "n_freq" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--lr", "nan"], "learning_rate"),
     (["--lr", "inf"], "learning_rate"),
@@ -671,3 +685,25 @@ def test_gradcheck_without_trials_is_usage_error(capsys, trials):
     assert code == 2
     assert "PASS" not in stdout
     assert "--trials" in stderr
+
+
+def test_gradcheck_nan_gradient_fails(capsys, monkeypatch):
+    exact = model.backward
+
+    def broken(*args, **kwargs):
+        grads = exact(*args, **kwargs)
+        grads.bank.weights[0].reshape(-1)[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(model, "backward", broken)
+    code, stdout, _ = run(capsys, ["gradcheck", "--trials", "1", *SEED])
+    assert code == 1
+    assert "FAIL" in stdout
+
+
+@pytest.mark.parametrize("flag, value", [("--h", "0"), ("--h", "nan"), ("--tolerance", "nan")])
+def test_gradcheck_bad_step_or_tolerance_is_usage_error(capsys, flag, value):
+    code, stdout, stderr = run(capsys, ["gradcheck", "--trials", "1", flag, value, *SEED])
+    assert code == 2
+    assert "PASS" not in stdout
+    assert flag in stderr

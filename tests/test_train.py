@@ -1,11 +1,13 @@
 import json
+import re
+import wave
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from onemax import dsp, model
-from onemax.data import build_condition_set
+from onemax.data import Manifest, build_condition_set
 from onemax.dsp import Sif
 from onemax.train import (
     DEFAULT_WIDTHS,
@@ -82,6 +84,15 @@ def test_config_validation():
         TrainConfig(n_freq=0)
     with pytest.raises(ValueError):
         TrainConfig(copies_per_snr=0)
+
+
+def test_n_freq_is_bounded_by_the_spectrum(tiny_corpus):
+    # a spectrum has FFT_SIZE / 2 bins; more rows cannot be averaged out of it
+    with pytest.raises(ValueError, match="n_freq"):
+        TrainConfig(n_freq=dsp.FFT_SIZE // 2 + 1)
+    manifest, bank, _ = tiny_corpus
+    params, _ = train(TrainConfig(**TINY, epochs=1, n_freq=dsp.FFT_SIZE // 2), manifest, bank)
+    assert params.input_rows == dsp.FFT_SIZE // 2
 
 
 @pytest.mark.parametrize("snrs", [(10.0, 10.0), (0.0, -0.0), (20.0, 5.0, 20.0)])
@@ -244,6 +255,35 @@ def test_evaluate_matches_report_row(tiny_corpus, sif_cache):
     acc = evaluate(params, manifest, bank, cfg, cache_dir=sif_cache)
     assert acc == report.test_acc
     assert list(acc)[-1] == "mean"
+
+
+def manifest_with_slow_test_clip(manifest, root):
+    """A copy of the corpus at root whose first test clip is relabelled 8 kHz;
+    returns its manifest and that clip's path."""
+    slow = manifest.by_split("test")[0].path
+    for rec in manifest.records:
+        (root / rec.path).parent.mkdir(parents=True, exist_ok=True)
+        if rec.path != slow:
+            (root / rec.path).symlink_to(manifest.root / rec.path)
+    with wave.open(str(manifest.root / slow), "rb") as src:
+        frames = src.readframes(src.getnframes())
+    with wave.open(str(root / slow), "wb") as dst:
+        dst.setnchannels(1)
+        dst.setsampwidth(2)
+        dst.setframerate(8000)
+        dst.writeframes(frames)
+    return Manifest(manifest.records, root), slow
+
+
+def test_train_loads_test_clips_before_epoch_1(tiny_corpus, tmp_path):
+    """A bad test clip fails the run before any epoch is trained."""
+    manifest, bank, _ = tiny_corpus
+    slow_manifest, slow = manifest_with_slow_test_clip(manifest, tmp_path)
+    epochs = []
+    with pytest.raises(ValueError, match=re.escape(f"{slow} [clean]: sample rate 8000 Hz")):
+        train(TrainConfig(**TINY, epochs=2), slow_manifest, bank,
+              progress=lambda epoch, loss, acc: epochs.append(epoch))
+    assert epochs == []
 
 
 def test_train_expands_the_manifest_once(tiny_corpus, sif_cache, monkeypatch):
@@ -425,3 +465,30 @@ def test_width_sweep_without_cache_extracts_once(tiny_corpus, monkeypatch):
         assert all(row["error"] is None for row in rows)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Patch module.name to record each call's arguments; returns the record."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
+def test_width_sweep_without_cache_touches_no_sif_file(tiny_corpus, monkeypatch):
+    manifest, bank, _ = tiny_corpus
+    writes = count_calls(monkeypatch, dsp, "write_sif")
+    reads = count_calls(monkeypatch, dsp, "read_sif")
+    rows = width_sweep(TrainConfig(**TINY, epochs=1), [1, 3], manifest, bank)
+    assert all(row["error"] is None for row in rows)
+    assert writes == [] and reads == []
+
+
+def test_width_sweep_reads_each_cache_entry_once(tiny_corpus, tmp_path, monkeypatch):
+    manifest, bank, _ = tiny_corpus
+    base = TrainConfig(**TINY, epochs=1)
+    width_sweep(base, [1], manifest, bank, cache_dir=tmp_path)  # fills the cache
+    reads = count_calls(monkeypatch, dsp, "read_sif")
+    rows = width_sweep(base, [1, 3, 5], manifest, bank, cache_dir=tmp_path)
+    assert all(row["error"] is None for row in rows)
+    assert sorted(path for path, in reads) == sorted(tmp_path.glob("*.sif"))

@@ -48,11 +48,12 @@ flat = denoise(bands)
 print(f"row minima after de-noising: {np.unique(flat.min(axis=1))}")
 
 # extract_sif runs all three stages in one call; with_energy appends a
-# 53rd row holding each frame's total (scaled) energy.
-sif = extract_sif(wave, with_energy=True, energy_scale=0.1)
+# 53rd row holding each frame's total energy: the column sum of the 52
+# de-noised rows.
+sif = extract_sif(wave, with_energy=True)
 print(f"full feature matrix: {sif.values.shape[0]} rows x {sif.values.shape[1]} frames")
 np.testing.assert_array_equal(sif.values[:52], flat)
-np.testing.assert_array_equal(sif.values[52], flat.sum(axis=0) * 0.1)
+np.testing.assert_array_equal(sif.values[52], flat.sum(axis=0))
 
 # features round-trip through the .sif container bit for bit
 import tempfile

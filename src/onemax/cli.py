@@ -345,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                         action=argparse.BooleanOptionalAction,
                         help="append the short-time energy row; eval takes it from "
                              f"the checkpoint's row count instead {_default('with_energy')}")
-    corpus.add_argument("--energy-scale", dest="energy_scale", type=float, default=None,
-                        help=f"scale factor for the energy row {_default('energy_scale')}")
     corpus.add_argument("--n-freq", dest="n_freq", type=int, default=None,
                         help=f"down-sampled frequency rows {_default('n_freq')}")
     corpus.add_argument("--snrs", type=CONFIG_PARSERS["snrs"], default=None,
@@ -381,9 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="score validation on clean audio only; otherwise the multi "
                                "regime validates on all conditions "
                                f"{_default('validate_clean_only')}")
-    training.add_argument("--regularize-biases", dest="regularize_biases", default=None,
-                          action=argparse.BooleanOptionalAction,
-                          help=f"include biases in the L2 term {_default('regularize_biases')}")
     training.add_argument("--paper-defaults", action="store_true",
                           help="restore the published hyperparameters over any config file")
 

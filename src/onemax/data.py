@@ -322,9 +322,19 @@ def _edge_ramp(n_samples: int, ramp_s: float = 0.005) -> np.ndarray:
     return env
 
 
+def _class_detune(class_index: int) -> float:
+    """0 for classes 0-11, then a fifth more for each later round of 12.
+
+    The kind repeats every 6 classes and the pitch step every 12; adding
+    this to a class's pitch step and modulation rate keeps the first 60
+    classes' generators distinct.
+    """
+    return (class_index // 12) / 5
+
+
 def _class_base_freq(class_index: int) -> float:
     # spread classes across the band, a third of an octave apart
-    return 220.0 * 2.0 ** ((class_index % 12) / 3.0)
+    return 220.0 * 2.0 ** ((class_index % 12 + _class_detune(class_index)) / 3.0)
 
 
 def _synth_event(kind: str, class_index: int, cfg: SynthConfig, rng) -> np.ndarray:
@@ -343,7 +353,7 @@ def _synth_event(kind: str, class_index: int, cfg: SynthConfig, rng) -> np.ndarr
         phase = 2.0 * np.pi * (f0 * t + (f1 - f0) / (2.0 * duration) * t**2)
         x = np.sin(phase + rng.uniform(0, 2 * np.pi))
     elif kind == "am_noise":
-        mod_hz = 3.0 + (class_index % 7)
+        mod_hz = 3.0 + (class_index % 7) + _class_detune(class_index)
         x = rng.standard_normal(n) * (0.55 + 0.45 * np.sin(2.0 * np.pi * mod_hz * t))
     elif kind == "clicks":
         rate_hz = 6.0 + 2.0 * (class_index % 5)

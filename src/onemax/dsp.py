@@ -141,21 +141,15 @@ def denoise(spec: np.ndarray) -> np.ndarray:
     return spec - spec.min(axis=1, keepdims=True)
 
 
-def extract_sif(
-    wave: Waveform,
-    n_freq: int = N_FREQ,
-    with_energy: bool = False,
-    energy_scale: float = 1.0,
-) -> Sif:
+def extract_sif(wave: Waveform, n_freq: int = N_FREQ, with_energy: bool = False) -> Sif:
     """Full SIF pipeline: spectrogram -> frequency down-sampling -> de-noising.
 
-    With with_energy, a row holding energy_scale * (column sum of the
-    de-noised rows) is appended below the frequency rows.
+    With with_energy, the column sum of the de-noised rows is appended as
+    one more row below the frequency rows.
     """
     values = denoise(downsample_freq(spectrogram(wave), n_freq))
     if with_energy:
-        energy = energy_scale * values.sum(axis=0, keepdims=True)
-        values = np.vstack([values, energy])
+        values = np.vstack([values, values.sum(axis=0, keepdims=True)])
     return Sif(values, n_freq=n_freq, has_energy=with_energy)
 
 

@@ -11,7 +11,6 @@ window of the input.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +20,6 @@ from .optim import fnv1a
 
 CHECKPOINT_MAGIC = b"1MAX"
 CHECKPOINT_VERSION = 1
-
-PROB_FLOOR = 1e-300
 
 # forward() pads each group's positions to a multiple of this; see its docstring
 POSITION_BLOCK = 16
@@ -137,6 +134,11 @@ class ModelParams:
             softmax=SoftmaxParams(weights=fn(self.softmax.weights), biases=fn(self.softmax.biases)),
             n_classes=self.n_classes,
         )
+
+    def regularized(self) -> list[np.ndarray]:
+        """The arrays the L2 penalty covers: each group's conv weights, then the
+        softmax weights. No bias is ever regularized."""
+        return [*self.bank.weights, self.softmax.weights]
 
     def copy(self) -> "ModelParams":
         return self.map(np.copy)
@@ -306,16 +308,11 @@ def forward(
     )
 
 
-def regularizer(params: ModelParams, l2_lambda: float, regularize_biases: bool = False) -> float:
-    """(lambda/2) * sum of squared weights; biases included only on request."""
+def regularizer(params: ModelParams, l2_lambda: float) -> float:
+    """(lambda/2) * sum of squares over params.regularized()."""
     if l2_lambda == 0.0:
         return 0.0
-    total = sum(float(np.sum(w * w)) for w in params.bank.weights)
-    total += float(np.sum(params.softmax.weights**2))
-    if regularize_biases:
-        total += sum(float(np.sum(b * b)) for b in params.bank.biases)
-        total += float(np.sum(params.softmax.biases**2))
-    return 0.5 * l2_lambda * total
+    return 0.5 * l2_lambda * sum(float(np.sum(w * w)) for w in params.regularized())
 
 
 def loss(
@@ -323,29 +320,19 @@ def loss(
     target_class: int,
     params: ModelParams,
     l2_lambda: float,
-    regularize_biases: bool = False,
 ) -> float:
     """Cross-entropy -log(y_hat[target]) plus the L2 penalty.
 
     Computed via the log-softmax identity on the logits, which stays
-    finite even when the reported probability underflows; a probability
-    of exactly 0 is clamped to 1e-300 and flagged with a warning.
+    finite, and exact, even when the reported probability underflows to 0.
     """
     if not 0 <= target_class < len(trace.y_hat):
         raise ValueError(
             f"target_class {target_class} out of range for {len(trace.y_hat)} classes"
         )
-    if trace.y_hat[target_class] == 0.0:
-        warnings.warn(
-            f"probability for class {target_class} underflowed to 0; clamped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        ce = -np.log(PROB_FLOOR)
-    else:
-        shifted = trace.logits - trace.logits.max()
-        ce = float(np.log(np.sum(np.exp(shifted))) - shifted[target_class])
-    return ce + regularizer(params, l2_lambda, regularize_biases)
+    shifted = trace.logits - trace.logits.max()
+    ce = float(np.log(np.sum(np.exp(shifted))) - shifted[target_class])
+    return ce + regularizer(params, l2_lambda)
 
 
 def backward(
@@ -354,7 +341,6 @@ def backward(
     sif: np.ndarray,
     target_class: int,
     l2_lambda: float,
-    regularize_biases: bool = False,
 ) -> ModelParams:
     """Exact gradients of loss() for one sample, as a tree shaped like params.
 
@@ -363,8 +349,8 @@ def backward(
     forward. Each conv filter's gradient flows only through the column
     window that won its 1-max pool, and is zero when that window's
     pre-activation was clipped by the ReLU. Windows are read from the
-    same first trace.true_len columns forward read. The L2 term
-    contributes lambda * theta for every regularized parameter.
+    same first trace.true_len columns forward read. The L2 term adds
+    lambda * theta to each array of params.regularized().
     """
     sif = np.asarray(sif, dtype=np.float64)
     if sif.shape[0] != params.input_rows:
@@ -403,9 +389,8 @@ def backward(
         grads.bank.biases[q][live] = d
 
     if l2_lambda != 0.0:
-        for (name, g), (_, theta) in zip(grads.blocks(), params.blocks()):
-            if name.endswith(".weights") or regularize_biases:
-                g += l2_lambda * theta
+        for g, theta in zip(grads.regularized(), params.regularized()):
+            g += l2_lambda * theta
     return grads
 
 
@@ -419,7 +404,6 @@ def finite_difference_gradients(
     mode: str = "eval",
     dropout_rate: float = 0.5,
     rng_seed: int = 0,
-    regularize_biases: bool = False,
 ) -> list[np.ndarray]:
     """Central finite differences of loss() over every parameter.
 
@@ -434,7 +418,7 @@ def finite_difference_gradients(
         trace = forward(
             work, sif, true_len, mode=mode, dropout_rate=dropout_rate, rng_seed=rng_seed
         )
-        return loss(trace, target_class, work, l2_lambda, regularize_biases)
+        return loss(trace, target_class, work, l2_lambda)
 
     out = []
     for _, arr in work.blocks():

@@ -58,9 +58,7 @@ class TrainConfig:
     seed: int = 0
     regime: str = "mismatched"
     with_energy: bool = False
-    energy_scale: float = 1.0
     n_freq: int = dsp.N_FREQ
-    regularize_biases: bool = False
     snrs: tuple[float, ...] = DEFAULT_SNRS
     copies_per_snr: int = 1
     validate_clean_only: bool = False
@@ -78,8 +76,6 @@ class TrainConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (np.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
             raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
-        if not np.isfinite(self.energy_scale):
-            raise ValueError(f"energy_scale must be finite, got {self.energy_scale}")
         if not np.all(np.isfinite(self.snrs)):
             raise ValueError(f"snrs must all be finite, got {self.snrs}")
         if len({condition_name(s) for s in self.snrs}) != len(self.snrs):
@@ -209,7 +205,6 @@ def feature_digest(config: TrainConfig, sample: Sample) -> str:
             sample.mix_seed,
             config.n_freq,
             config.with_energy,
-            config.energy_scale,
             dsp.WINDOW_LEN,
             dsp.HOP_LEN,
             dsp.FFT_SIZE,
@@ -265,7 +260,6 @@ def extract_features(
                 resolve_sample(sample, manifest, bank),
                 n_freq=config.n_freq,
                 with_energy=config.with_energy,
-                energy_scale=config.energy_scale,
             )
         except (WavFormatError, OSError, ValueError) as exc:
             raise ValueError(f"{sample.record.path} [{sample.condition}]: {exc}") from exc
@@ -377,10 +371,7 @@ def _fit(config: TrainConfig, n_classes: int, train_set: Stream, validation: Str
                     rng_seed=derive_seed(config.seed, "dropout", epoch, i),
                 )
                 batch_ce += model.loss(trace, target, params, 0.0)
-                grads = model.backward(
-                    params, trace, sif, target, config.l2_lambda,
-                    regularize_biases=config.regularize_biases,
-                )
+                grads = model.backward(params, trace, sif, target, config.l2_lambda)
                 if grad_sum is None:
                     grad_sum = grads.arrays()
                 else:
@@ -388,7 +379,7 @@ def _fit(config: TrainConfig, n_classes: int, train_set: Stream, validation: Str
                         acc += g
             n = len(batch)
             mean_grads = [g / n for g in grad_sum]
-            reg = model.regularizer(params, config.l2_lambda, config.regularize_biases)
+            reg = model.regularizer(params, config.l2_lambda)
             batch_loss = batch_ce / n + reg
             if not np.isfinite(batch_loss):
                 raise RuntimeError(

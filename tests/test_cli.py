@@ -61,8 +61,7 @@ FIELD_FLAGS = {
     "widths": "--widths", "filters_per_width": "--filters", "learning_rate": "--lr",
     "dropout_rate": "--dropout", "l2_lambda": "--l2", "batch_size": "--batch-size",
     "epochs": "--epochs", "seed": "--seed", "regime": "--regime",
-    "with_energy": "--energy", "energy_scale": "--energy-scale", "n_freq": "--n-freq",
-    "regularize_biases": "--regularize-biases",
+    "with_energy": "--energy", "n_freq": "--n-freq",
     "snrs": "--snrs", "copies_per_snr": "--copies-per-snr",
     "validate_clean_only": "--validate-clean-only",
 }
@@ -312,7 +311,7 @@ def test_n_freq_above_the_spectrum_is_usage_error_before_touching_disk(
     (["--lr", "nan"], "learning_rate"),
     (["--lr", "inf"], "learning_rate"),
     (["--l2", "inf"], "l2_lambda"),
-    (["--energy", "--energy-scale", "nan"], "energy_scale"),
+    (["--dropout", "nan"], "dropout_rate"),
     (["--snrs", "20,inf"], "snrs"),
 ])
 def test_train_rejects_non_finite_setting(corpus_dir, tmp_path, capsys, flags, field):
@@ -443,16 +442,27 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 
 
 def test_retired_masked_pool_key_is_usage_error(tmp_path, capsys):
-    # pooling always stops at the clip's true length; the key that could
-    # turn that off is gone, and an old config file naming it fails loudly
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("masked_pool = False\n")
-    code, _, stderr = run(capsys, [
-        "train", "--manifest", "whatever.tsv", "--out", "m.1max",
-        "--config", str(cfg),
-    ])
-    assert code == 2
-    assert "masked_pool" in stderr
+    # pooling always stops at the clip's true length, L2 never covers a
+    # bias and the energy row is the plain column sum; the keys that could
+    # change those are gone, and an old config file naming one fails loudly
+    for key in ("masked_pool", "regularize_biases", "energy_scale"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, _, stderr = run(capsys, [
+            "train", "--manifest", "whatever.tsv", "--out", "m.1max",
+            "--config", str(cfg),
+        ])
+        assert code == 2, key
+        assert key in stderr, key
+
+
+@pytest.mark.parametrize("flags", [["--regularize-biases"], ["--energy-scale", "0.5"]])
+def test_retired_flag_is_usage_error(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--manifest", "whatever.tsv", "--out", str(tmp_path / "m.1max"), *flags])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "m.1max").exists()
 
 
 def test_config_keys_are_the_train_config_fields():
@@ -465,8 +475,7 @@ def test_config_text_reads_back_as_a_config_file(tmp_path):
     cfg = TrainConfig(
         widths=(2, 5), filters_per_width=7, learning_rate=0.003, dropout_rate=0.25,
         l2_lambda=0.0, batch_size=3, epochs=9, seed=4, regime="multi", with_energy=True,
-        energy_scale=2.5, n_freq=40, regularize_biases=True,
-        snrs=(15.0, 5.0, -5.0), copies_per_snr=2, validate_clean_only=True,
+        n_freq=40, snrs=(15.0, 5.0, -5.0), copies_per_snr=2, validate_clean_only=True,
     )
     defaults = TrainConfig()
     assert all(getattr(cfg, f.name) != getattr(defaults, f.name) for f in fields(cfg))

@@ -404,6 +404,18 @@ def test_synth_corpus_seed_changes_audio(tmp_path):
     assert (tmp_path / "a" / rel).read_bytes() != (tmp_path / "b" / rel).read_bytes()
 
 
+def test_synth_classes_stay_distinct_past_twelve():
+    # one seed for every class, so only the class's own parameters can differ
+    cfg = SynthConfig(min_duration_s=0.3, max_duration_s=0.3)
+    seen = {}
+    for c in range(60):
+        kind = data.EVENT_KINDS[c % len(data.EVENT_KINDS)]
+        samples = data._synth_event(kind, c, cfg, np.random.default_rng(0))
+        digest = (kind, samples.tobytes())
+        assert digest not in seen, f"class {c} repeats class {seen.get(digest)}"
+        seen[digest] = c
+
+
 def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(n_classes=1)

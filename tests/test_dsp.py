@@ -299,13 +299,6 @@ def test_extract_sif_energy_row_is_column_sum():
     np.testing.assert_array_equal(sif.values[52], sif.values[:52].sum(axis=0))
 
 
-def test_extract_sif_energy_scale():
-    base = extract_sif(_tone_wave(), with_energy=True)
-    scaled = extract_sif(_tone_wave(), with_energy=True, energy_scale=0.25)
-    np.testing.assert_array_equal(scaled.values[52], 0.25 * base.values[:52].sum(axis=0))
-    np.testing.assert_array_equal(scaled.values[:52], base.values[:52])
-
-
 def test_extract_sif_row_minima_zero_random_waves():
     rng = np.random.default_rng(6)
     for _ in range(10):

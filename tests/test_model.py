@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from onemax.model import (
     load_checkpoint,
     loss,
     pad_to_min,
+    regularizer,
     save_checkpoint,
 )
 from onemax.optim import fnv1a
@@ -438,25 +440,41 @@ def test_loss_zero_params_regularizer_is_zero():
     assert loss(trace, 0, params, 1e-4) == pytest.approx(np.log(4.0), abs=1e-12)
 
 
-def test_loss_underflowed_probability_clamped_and_flagged():
+def test_loss_is_exact_and_matches_backward_when_the_target_probability_underflows():
+    # logits [0, 2000, 0]: y_hat[0] is 0.0 in float64, yet -log_softmax is exactly 2000
     params = small_params(seed=21, n_classes=3)
-    trace = forward(params, np.ones((8, 5)), 5)
-    trace.logits = np.array([0.0, 2000.0, 0.0])
-    trace.y_hat = np.array([0.0, 1.0, 0.0])
-    with pytest.warns(RuntimeWarning, match="underflow"):
-        value = loss(trace, 0, params, 0.0)
-    assert value == pytest.approx(-np.log(1e-300))
+    params.softmax.weights[:] = 0.0
+    params.softmax.biases[:] = [0.0, 2000.0, 0.0]
+    sif = np.ones((8, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = forward(params, sif, 5)
+        assert trace.y_hat[0] == 0.0
+        assert loss(trace, 0, params, 0.0) == 2000.0
+        fd = finite_difference_gradients(params, sif, 5, 0, 0.0)
+    grads = backward(params, trace, sif, 0, 0.0)
+    assert grads.softmax.biases[0] == -1.0
+    assert abs(fd[-1][0] - grads.softmax.biases[0]) < 1e-6
+    assert max_rel_error(grads.arrays(), fd) < 1e-6
 
 
 def test_loss_excludes_biases_by_default():
     params = small_params(seed=22)
-    params.softmax.biases[:] = 100.0
-    trace = forward(params, np.ones((8, 5)), 5)
+    sif = np.random.default_rng(22).uniform(0, 2, size=(8, 5))
     lam = 1e-2
-    without = loss(trace, 0, params, lam)
-    with_biases = loss(trace, 0, params, lam, regularize_biases=True)
-    expected_extra = 0.5 * lam * np.sum(params.softmax.biases**2)
-    assert with_biases - without == pytest.approx(expected_extra, rel=1e-12)
+    reg = regularizer(params, lam)
+    assert reg > 0.0
+    moved = params.copy()
+    for b in moved.bank.biases + [moved.softmax.biases]:
+        b[:] = 100.0
+    assert regularizer(moved, lam) == reg
+    # backward adds lambda * theta to the weight blocks only
+    trace = forward(moved, sif, 5)
+    with_l2 = backward(moved, trace, sif, 0, lam)
+    without = backward(moved, trace, sif, 0, 0.0)
+    for (name, g), (_, g0), (_, theta) in zip(with_l2.blocks(), without.blocks(), moved.blocks()):
+        want = g0 if name.endswith(".biases") else g0 + lam * theta
+        assert g.tobytes() == want.tobytes(), name
 
 
 def test_loss_bad_target_rejected():
@@ -495,7 +513,7 @@ def test_backward_relu_clipped_filter_gets_zero_gradient():
 def _pass_bytes(params, sif, true_len, target=1, lam=1e-2):
     """Pooled vector, y_hat and every gradient block of one train-mode pass, as bytes."""
     trace = forward(params, sif, true_len, mode="train", rng_seed=7)
-    grads = backward(params, trace, sif, target, lam, regularize_biases=True)
+    grads = backward(params, trace, sif, target, lam)
     return [trace.pooled.tobytes(), trace.y_hat.tobytes()] + [g.tobytes() for g in grads.arrays()]
 
 
@@ -550,17 +568,6 @@ def test_gradients_match_finite_differences_train_mode():
     analytic = backward(params, trace, sif, 2, 1e-4)
     fd = finite_difference_gradients(
         params, sif, 15, 2, 1e-4, mode="train", dropout_rate=0.5, rng_seed=77
-    )
-    assert max_rel_error(analytic.arrays(), fd) < 1e-6
-
-
-def test_gradients_match_finite_differences_regularized_biases():
-    params = small_params(seed=202)
-    sif = np.random.default_rng(203).uniform(0, 2, size=(8, 12))
-    trace = forward(params, sif, 12)
-    analytic = backward(params, trace, sif, 1, 1e-2, regularize_biases=True)
-    fd = finite_difference_gradients(
-        params, sif, 12, 1, 1e-2, regularize_biases=True
     )
     assert max_rel_error(analytic.arrays(), fd) < 1e-6
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,19 +20,14 @@ import numpy as np
 from . import model
 from .data import (
     Manifest,
-    ManifestFormatError,
     NoiseBank,
     REGIMES,
     SynthConfig,
-    WavFormatError,
+    build_condition_set,
     load_noise_bank,
-    make_sample,
     read_manifest,
     synth_corpus,
 )
-from .dsp import SifFormatError
-from .model import CheckpointFormatError
-from .optim import AdamStateFormatError
 from .seeds import derive_seed
 from .train import (
     CONFIG_PARSERS,
@@ -56,20 +50,8 @@ DEFAULTS = TrainConfig()
 # keys a config file may set; anything else is a typo worth failing on
 CONFIG_KEYS = set(CONFIG_PARSERS) | {"cache"}
 
-# hyperparameter keys --paper-defaults pins back to the built-in defaults
-HYPERPARAM_KEYS = {f.name for f in fields(TrainConfig) if f.metadata.get("hyperparameter")}
-
-RUNTIME_ERRORS = (
-    OSError,
-    ValueError,
-    WavFormatError,
-    ManifestFormatError,
-    SifFormatError,
-    CheckpointFormatError,
-    AdamStateFormatError,
-    RuntimeError,
-    FloatingPointError,
-)
+# every data-format error (WAV, manifest, .sif, checkpoint, Adam state) is a ValueError
+RUNTIME_ERRORS = (OSError, ValueError, RuntimeError, FloatingPointError)
 
 
 class ConfigError(ValueError):
@@ -104,13 +86,7 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def _given(args, file_cfg: dict[str, str]) -> dict:
-    """The TrainConfig fields set by a flag or, failing that, by the config file.
-
-    --paper-defaults hides the file's hyperparameters, so they fall back to
-    the built-in defaults.
-    """
-    if getattr(args, "paper_defaults", False):
-        file_cfg = {k: v for k, v in file_cfg.items() if k not in HYPERPARAM_KEYS}
+    """The TrainConfig fields set by a flag or, failing that, by the config file."""
     values = {}
     for key, parse in CONFIG_PARSERS.items():
         flag_value = getattr(args, key, None)
@@ -129,7 +105,10 @@ def resolve_seed(args, file_cfg: dict[str, str]) -> int:
 
 
 def resolve_train_config(args, file_cfg: dict[str, str]) -> TrainConfig:
-    """Apply precedence defaults < config file < flags and validate."""
+    """Apply precedence defaults < config file < flags and validate.
+
+    Every command that reads a corpus takes its settings from here alone.
+    """
     return _build(TrainConfig, **_given(args, file_cfg))
 
 
@@ -178,31 +157,31 @@ def cmd_extract(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
     # clean-only extraction (--snrs "") needs no noise bank
     manifest, bank = _load_inputs(args, with_noise=bool(config.snrs))
-    cache_dir = Path(args.out) if args.out else resolve_cache_dir(
-        args, file_cfg, default=manifest.root / "sif_cache"
-    )
+    cache_dir = resolve_cache_dir(args, file_cfg, default=manifest.root / "sif_cache")
     cache_dir.mkdir(parents=True, exist_ok=True)
+    # the multi regime's streams hold every pair either regime reads
+    cs = build_condition_set(manifest, bank, "multi", config.seed,
+                             snrs=config.snrs, copies_per_snr=config.copies_per_snr)
 
     index_lines = ["digest\tpath\tcondition\trows\tcols"]
     failures = 0
-    for record in manifest.records:
-        for snr in (None, *config.snrs):
-            sample = make_sample(manifest, record, snr, config.seed)
-            path = cache_path(cache_dir, config, sample)
-            where = f"{record.path} [{sample.condition}]"
-            values = read_cached(path)
-            if values is not None:
-                print(f"skip (cached): {where} -> {path.name}")
-            else:
-                try:
-                    [values] = extract_features([sample], manifest, bank, config, cache_dir)
-                except (OSError, ValueError) as exc:  # a data error names its clip
-                    print(f"error: {exc}", file=sys.stderr)
-                    failures += 1
-                    continue
-                print(f"wrote: {where} -> {path.name} ({values.shape[0]}x{values.shape[1]})")
-            rows, cols = values.shape
-            index_lines.append(f"{path.stem}\t{record.path}\t{sample.condition}\t{rows}\t{cols}")
+    for sample in [*cs.train, *cs.validation, *(s for test in cs.test.values() for s in test)]:
+        path = cache_path(cache_dir, config, sample)
+        where = f"{sample.record.path} [{sample.condition}]"
+        values = read_cached(path)
+        if values is not None:
+            print(f"skip (cached): {where} -> {path.name}")
+        else:
+            try:
+                [values] = extract_features([sample], manifest, bank, config, cache_dir)
+            except (OSError, ValueError) as exc:  # a data error names its clip
+                print(f"error: {exc}", file=sys.stderr)
+                failures += 1
+                continue
+            print(f"wrote: {where} -> {path.name} ({values.shape[0]}x{values.shape[1]})")
+        rows, cols = values.shape
+        index_lines.append(
+            f"{path.stem}\t{sample.record.path}\t{sample.condition}\t{rows}\t{cols}")
     (cache_dir / "index.tsv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
     if failures:
         print(f"{failures} file(s) failed", file=sys.stderr)
@@ -228,9 +207,10 @@ def cmd_train(args, file_cfg) -> int:
 
     out = Path(args.out)
     model.save_checkpoint(params, out)
+    # the sidecar is a config file: `eval --config <sidecar>` restores the run's settings
     sidecar = out.with_name(out.name + ".config.txt")
     sidecar.write_text(
-        config_text(config) + f"\nmanifest={args.manifest}\ncheckpoint={out}\n",
+        config_text(config) + f"\n# manifest={args.manifest}\n# checkpoint={out}\n",
         encoding="utf-8",
     )
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
@@ -246,8 +226,6 @@ def cmd_train(args, file_cfg) -> int:
 def cmd_eval(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
     params = model.load_checkpoint(args.ckpt)
-    # the checkpoint's row count says whether it was trained with the energy row
-    config = replace(config, with_energy=params.input_rows == config.n_freq + 1)
     manifest, bank = _load_inputs(args)
     cache_dir = resolve_cache_dir(args, file_cfg)
     accuracies = evaluate(params, manifest, bank, config, cache_dir)
@@ -260,17 +238,10 @@ def cmd_eval(args, file_cfg) -> int:
 
 
 def cmd_sweep(args, file_cfg) -> int:
-    # widths (flag > config file > default) names the widths to sweep, one
-    # single-width model each; it is not a width tuple for the base config,
-    # so a bad entry must surface as a failed sweep row rather than a usage
-    # error.
-    widths = _given(args, file_cfg).get("widths", DEFAULTS.widths)
-    args.widths = None
-    file_cfg = {k: v for k, v in file_cfg.items() if k != "widths"}
     config = resolve_train_config(args, file_cfg)
     manifest, bank = _load_inputs(args)
     cache_dir = resolve_cache_dir(args, file_cfg)
-    rows = width_sweep(config, widths, manifest, bank, cache_dir)
+    rows = width_sweep(config, manifest, bank, cache_dir)
     text = sweep_tsv(rows)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -343,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="noise bank directory (default: <manifest dir>/noise)")
     corpus.add_argument("--energy", dest="with_energy", default=None,
                         action=argparse.BooleanOptionalAction,
-                        help="append the short-time energy row; eval takes it from "
-                             f"the checkpoint's row count instead {_default('with_energy')}")
+                        help=f"append the short-time energy row {_default('with_energy')}")
     corpus.add_argument("--n-freq", dest="n_freq", type=int, default=None,
                         help=f"down-sampled frequency rows {_default('n_freq')}")
     corpus.add_argument("--snrs", type=CONFIG_PARSERS["snrs"], default=None,
@@ -379,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="score validation on clean audio only; otherwise the multi "
                                "regime validates on all conditions "
                                f"{_default('validate_clean_only')}")
-    training.add_argument("--paper-defaults", action="store_true",
-                          help="restore the published hyperparameters over any config file")
 
     parser = argparse.ArgumentParser(
         prog="onemax",
@@ -401,10 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", parents=[common, corpus],
-                       help="extract features for every (record, condition) pair")
-    p.add_argument("--out", default=None,
-                   help="output directory (default: --cache, then the config file's "
-                        f"cache key, then ${CACHE_ENV}, then <manifest dir>/sif_cache)")
+                       help="extract features for every (record, condition) pair",
+                       description="Writes to --cache, the config file's cache key, "
+                                   f"${CACHE_ENV} or else <manifest dir>/sif_cache.")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", parents=[common, corpus, training],

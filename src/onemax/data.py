@@ -34,11 +34,11 @@ EVENT_KINDS = ("tone", "chirp_up", "chirp_down", "am_noise", "clicks", "harmonic
 NOISE_NAMES = ("white", "pink", "babble", "machinery")
 
 
-class WavFormatError(Exception):
+class WavFormatError(ValueError):
     """Raised when a WAV file is missing, malformed, or an unsupported flavor."""
 
 
-class ManifestFormatError(Exception):
+class ManifestFormatError(ValueError):
     """Raised when a manifest file cannot be parsed."""
 
 
@@ -285,15 +285,19 @@ def mix_noise_at_snr(
 # ---------------------------------------------------------------------------
 # Synthetic corpus generation
 
+# each event's peak amplitude is drawn from [MIN_AMPLITUDE, MAX_AMPLITUDE] and
+# its pitch scaled by a factor drawn from 1 +/- PITCH_JITTER
+MIN_AMPLITUDE = 0.3
+MAX_AMPLITUDE = 0.9
+PITCH_JITTER = 0.05
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_classes: int = 5
     instances_per_class: int = 16
     min_duration_s: float = 0.3
     max_duration_s: float = 1.5
-    min_amplitude: float = 0.3
-    max_amplitude: float = 0.9
-    pitch_jitter: float = 0.05
     noise_duration_s: float = 3.0
 
     def __post_init__(self):
@@ -340,8 +344,8 @@ def _class_base_freq(class_index: int) -> float:
 def _synth_event(kind: str, class_index: int, cfg: SynthConfig, rng) -> np.ndarray:
     sr = SAMPLE_RATE
     duration = rng.uniform(cfg.min_duration_s, cfg.max_duration_s)
-    amplitude = rng.uniform(cfg.min_amplitude, cfg.max_amplitude)
-    jitter = 1.0 + rng.uniform(-cfg.pitch_jitter, cfg.pitch_jitter)
+    amplitude = rng.uniform(MIN_AMPLITUDE, MAX_AMPLITUDE)
+    jitter = 1.0 + rng.uniform(-PITCH_JITTER, PITCH_JITTER)
     freq = _class_base_freq(class_index) * jitter
     n = int(round(duration * sr))
     t = np.arange(n) / sr
@@ -487,7 +491,7 @@ class ConditionSet:
 
 def build_condition_set(
     manifest: Manifest,
-    bank: NoiseBank,
+    bank: NoiseBank | None,
     regime: str,
     rng_seed: int,
     snrs: tuple[float, ...] = DEFAULT_SNRS,
@@ -501,7 +505,8 @@ def build_condition_set(
     validation stream gets the same treatment (model selection sees the
     conditions it will be tested on) unless validate_clean_only. Test
     streams always cover clean plus every SNR; make_sample builds each
-    sample.
+    sample. bank is not read, and may be None: a sample names its noise
+    condition and mix seed, and resolve_sample mixes the noise in.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be 'mismatched' or 'multi', got {regime!r}")
@@ -509,8 +514,6 @@ def build_condition_set(
         raise ValueError(f"copies_per_snr must be >= 1, got {copies_per_snr}")
     if len({condition_name(s) for s in snrs}) != len(snrs):
         raise ValueError(f"snrs must name distinct conditions, got {tuple(snrs)}")
-    if not bank.waves:
-        raise ValueError("noise bank is empty")
 
     def clean(recs: list[ManifestRecord]) -> list[Sample]:
         return [make_sample(manifest, r, None, rng_seed) for r in recs]

@@ -25,7 +25,7 @@ N_FREQ = 52
 SIF_MAGIC = b"SIF1"
 
 
-class SifFormatError(Exception):
+class SifFormatError(ValueError):
     """Raised when a .sif file is malformed."""
 
 

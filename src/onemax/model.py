@@ -25,7 +25,7 @@ CHECKPOINT_VERSION = 1
 POSITION_BLOCK = 16
 
 
-class CheckpointFormatError(Exception):
+class CheckpointFormatError(ValueError):
     """Raised when a model checkpoint file is malformed or corrupt."""
 
 

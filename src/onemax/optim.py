@@ -89,7 +89,7 @@ def fnv1a(data) -> int:
     return h
 
 
-class AdamStateFormatError(Exception):
+class AdamStateFormatError(ValueError):
     """Raised when a saved optimizer-state file is malformed or corrupt."""
 
 

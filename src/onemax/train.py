@@ -27,7 +27,6 @@ from .data import (
     NoiseBank,
     REGIMES,
     Sample,
-    WavFormatError,
     build_condition_set,
     condition_name,
     make_batches,
@@ -39,22 +38,17 @@ from .seeds import derive_seed
 DEFAULT_WIDTHS = tuple(range(1, 26, 2))  # {1, 3, ..., 25}
 
 
-def _hyperparameter(default):
-    """A TrainConfig field that --paper-defaults pins back to its default."""
-    return field(default=default, metadata={"hyperparameter": True})
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; defaults are the published large-corpus settings."""
 
-    widths: tuple[int, ...] = _hyperparameter(DEFAULT_WIDTHS)
-    filters_per_width: int = _hyperparameter(100)
-    learning_rate: float = _hyperparameter(1e-4)
-    dropout_rate: float = _hyperparameter(0.5)
-    l2_lambda: float = _hyperparameter(1e-4)
-    batch_size: int = _hyperparameter(100)
-    epochs: int | None = _hyperparameter(None)      # None -> 1000 mismatched / 500 multi
+    widths: tuple[int, ...] = DEFAULT_WIDTHS
+    filters_per_width: int = 100
+    learning_rate: float = 1e-4
+    dropout_rate: float = 0.5
+    l2_lambda: float = 1e-4
+    batch_size: int = 100
+    epochs: int | None = None      # None -> 1000 mismatched / 500 multi
     seed: int = 0
     regime: str = "mismatched"
     with_energy: bool = False
@@ -261,7 +255,7 @@ def extract_features(
                 n_freq=config.n_freq,
                 with_energy=config.with_energy,
             )
-        except (WavFormatError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise ValueError(f"{sample.record.path} [{sample.condition}]: {exc}") from exc
         if path is not None:
             dsp.write_sif(sif, path)
@@ -448,27 +442,28 @@ def _test_accuracy(params: model.ModelParams, test: dict[str, Stream]) -> dict[s
 
 
 def width_sweep(
-    base_config: TrainConfig,
-    widths_list,
+    config: TrainConfig,
     manifest: Manifest,
     bank: NoiseBank,
     cache_dir=None,
 ) -> list[dict]:
-    """Train one single-width model per width; report per-condition accuracy.
+    """Train one single-width model per width of config.widths; report
+    per-condition accuracy.
 
-    Features do not depend on the width, so every stream is loaded once, in
-    memory (through the cache directory when given), and a data error raises
-    once, before any width is fitted. A width that cannot be built or that
-    diverges becomes a row with its error message, and the sweep continues.
+    Each width w is fitted as replace(config, widths=(w,)). Features do not
+    depend on the width, so every stream is loaded once, in memory (through
+    the cache directory when given), and a data error raises once, before
+    any width is fitted. A width that diverges becomes a row with its error
+    message, and the sweep continues.
     Each row: {"width": w, "accuracy": {...}, "error": None}.
     """
-    streams = _load_all(base_config, manifest, bank, cache_dir)
+    streams = _load_all(config, manifest, bank, cache_dir)
     rows = []
-    for w in map(int, widths_list):
+    for w in config.widths:
         try:
-            _, report = _fit(replace(base_config, widths=(w,)), manifest.n_classes, *streams)
+            _, report = _fit(replace(config, widths=(w,)), manifest.n_classes, *streams)
             rows.append({"width": w, "accuracy": report.test_acc, "error": None})
-        except (ValueError, RuntimeError) as exc:
+        except RuntimeError as exc:
             rows.append({"width": w, "accuracy": None, "error": str(exc)})
     return rows
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from onemax import train
 from onemax.data import SynthConfig, synth_corpus
+
+DIVERGED = "training diverged: non-finite loss at epoch 1, batch 0"
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +19,16 @@ def tiny_corpus(tmp_path_factory):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def width_1_diverges(monkeypatch):
+    """Fitting a single-width-1 model raises DIVERGED, as a diverged run does."""
+    fit = train._fit
+
+    def fit_or_diverge(config, *args):
+        if config.widths == (1,):
+            raise RuntimeError(DIVERGED)
+        return fit(config, *args)
+
+    monkeypatch.setattr(train, "_fit", fit_or_diverge)

@@ -5,18 +5,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from onemax import cli, dsp, model
 from onemax.cli import (
     CACHE_ENV,
     CONFIG_KEYS,
-    HYPERPARAM_KEYS,
     build_parser,
     load_config_file,
     main,
     resolve_train_config,
 )
-from onemax import model
-from onemax.dsp import read_sif
-from onemax.model import load_checkpoint
+from onemax.data import ManifestFormatError, WavFormatError, build_condition_set, read_manifest
+from onemax.dsp import SifFormatError, read_sif
+from onemax.model import CheckpointFormatError, load_checkpoint
+from onemax.optim import AdamStateFormatError
 from onemax.train import TrainConfig, config_text, value_text
 
 SEED = ["--seed", "5"]
@@ -135,7 +136,7 @@ def test_extract_writes_every_record_condition_pair(corpus_dir, tmp_path, capsys
     out = tmp_path / "sifs"
     code, stdout, _ = run(capsys, [
         "extract", "--manifest", str(corpus_dir / "manifest.tsv"),
-        "--out", str(out), *SEED,
+        "--cache", str(out), *SEED,
     ])
     assert code == 0
     sifs = list(out.glob("*.sif"))
@@ -149,7 +150,7 @@ def test_extract_writes_every_record_condition_pair(corpus_dir, tmp_path, capsys
 def test_extract_skips_cached_files(corpus_dir, tmp_path, capsys):
     out = tmp_path / "sifs"
     argv = ["extract", "--manifest", str(corpus_dir / "manifest.tsv"),
-            "--out", str(out), *SEED]
+            "--cache", str(out), *SEED]
     run(capsys, argv)
     code, stdout, _ = run(capsys, argv)
     assert code == 0
@@ -160,7 +161,7 @@ def test_extract_skips_cached_files(corpus_dir, tmp_path, capsys):
 def test_extract_rewrites_truncated_cache_entry(corpus_dir, tmp_path, capsys):
     out = tmp_path / "sifs"
     argv = ["extract", "--manifest", str(corpus_dir / "manifest.tsv"),
-            "--out", str(out), "--snrs", "", *SEED]
+            "--cache", str(out), "--snrs", "", *SEED]
     assert run(capsys, argv)[0] == 0
     victim = sorted(out.glob("*.sif"))[0]
     whole = victim.read_bytes()
@@ -175,7 +176,7 @@ def test_extract_energy_row(corpus_dir, tmp_path, capsys):
     out = tmp_path / "sifs-e"
     code, _, _ = run(capsys, [
         "extract", "--manifest", str(corpus_dir / "manifest.tsv"),
-        "--out", str(out), "--energy", *SEED,
+        "--cache", str(out), "--energy", *SEED,
     ])
     assert code == 0
     sif = read_sif(next(iter(out.glob("*.sif"))))
@@ -200,7 +201,7 @@ def test_extract_continues_past_bad_file(corpus_dir, tmp_path, capsys):
     out = tmp_path / "sifs"
     code, stdout, stderr = run(capsys, [
         "extract", "--manifest", str(broken_root / "manifest.tsv"),
-        "--out", str(out), *SEED,
+        "--cache", str(out), *SEED,
     ])
     assert code == 1
     assert "error:" in stderr
@@ -232,7 +233,7 @@ def test_extract_names_clip_at_another_rate(corpus_dir, tmp_path, capsys):
     out = tmp_path / "sifs"
     code, _, stderr = run(capsys, [
         "extract", "--manifest", str(tmp_path / "corpus" / "manifest.tsv"),
-        "--out", str(out), *SEED,
+        "--cache", str(out), *SEED,
     ])
     assert code == 1
     assert f"error: {slow} [clean]: sample rate 8000 Hz" in stderr
@@ -243,11 +244,27 @@ def test_extract_names_clip_at_another_rate(corpus_dir, tmp_path, capsys):
 def test_clean_only_extract_loads_no_noise_bank(corpus_dir, tmp_path, capsys):
     out = tmp_path / "sifs"
     code, _, _ = run(capsys, [
-        "extract", "--manifest", str(corpus_dir / "manifest.tsv"), "--out", str(out),
+        "extract", "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(out),
         "--noise-dir", str(tmp_path / "no-such-dir"), "--snrs", "", *SEED,
     ])
     assert code == 0
     assert len(list(out.glob("*.sif"))) == 18
+
+
+def test_train_extracts_nothing_after_extract_with_copies(tiny_corpus, tmp_path, monkeypatch,
+                                                           capsys):
+    _, _, root = tiny_corpus
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("regime = multi\ncopies_per_snr = 2\nwidths = 1\nfilters_per_width = 2\n"
+                   "epochs = 1\nseed = 5\n")
+    common = ["--manifest", str(root / "manifest.tsv"), "--config", str(cfg),
+              "--cache", str(tmp_path / "sifs")]
+    assert run(capsys, ["extract", *common])[0] == 0
+    calls = []
+    extract_sif = dsp.extract_sif
+    monkeypatch.setattr(dsp, "extract_sif", lambda *a, **k: calls.append(1) or extract_sif(*a, **k))
+    assert run(capsys, ["train", *common, "--out", str(tmp_path / "m.1max")])[0] == 0
+    assert calls == []
 
 
 def test_extract_uses_cache_env_var(corpus_dir, tmp_path, monkeypatch, capsys):
@@ -298,9 +315,10 @@ def test_n_freq_above_the_spectrum_is_usage_error_before_touching_disk(
     corpus_dir, tmp_path, capsys, command
 ):
     out = tmp_path / "out"
+    out_flag = {"train": "--out", "extract": "--cache"}[command]
     code, _, stderr = run(capsys, [
         command, "--manifest", str(corpus_dir / "manifest.tsv"),
-        "--out", str(out), "--n-freq", "2000", *SEED,
+        out_flag, str(out), "--n-freq", "2000", *SEED,
     ])
     assert code == 2
     assert "n_freq" in stderr
@@ -414,22 +432,6 @@ def test_config_file_feeds_defaults_flags_win(corpus_dir, cache_dir, tmp_path, c
     assert "dropout_rate=0.3" in stdout
 
 
-def test_paper_defaults_override_config_file(corpus_dir, cache_dir, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("learning_rate = 0.01\nwidths = 7\nbatch_size = 4\n")
-    out = tmp_path / "m.1max"
-    code, stdout, _ = run(capsys, [
-        "train", "--manifest", str(corpus_dir / "manifest.tsv"),
-        "--out", str(out), "--config", str(cfg), "--cache", str(cache_dir),
-        "--paper-defaults", "--epochs", "0", *SEED,
-    ])
-    assert code == 0
-    assert "learning_rate=0.0001" in stdout
-    assert "widths=1,3,5,7,9,11,13,15,17,19,21,23,25" in stdout
-    assert "batch_size=100" in stdout
-    assert "epochs=0" in stdout  # explicit flags still win
-
-
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("learning_rte = 0.01\n")
@@ -456,7 +458,9 @@ def test_retired_masked_pool_key_is_usage_error(tmp_path, capsys):
         assert key in stderr, key
 
 
-@pytest.mark.parametrize("flags", [["--regularize-biases"], ["--energy-scale", "0.5"]])
+@pytest.mark.parametrize("flags", [
+    ["--regularize-biases"], ["--energy-scale", "0.5"], ["--paper-defaults"],
+])
 def test_retired_flag_is_usage_error(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--manifest", "whatever.tsv", "--out", str(tmp_path / "m.1max"), *flags])
@@ -465,10 +469,26 @@ def test_retired_flag_is_usage_error(tmp_path, capsys, flags):
     assert not (tmp_path / "m.1max").exists()
 
 
+def test_extract_out_is_usage_error(tmp_path, capsys):
+    # extract writes where --cache (or the config file, $ONEMAX_CACHE, the
+    # manifest's directory) says, the one place train and eval read
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--manifest", "whatever.tsv", "--out", str(tmp_path / "sifs")])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "sifs").exists()
+
+
+def test_data_format_errors_are_value_errors():
+    # main() exits 1 on any ValueError raised past configuration
+    for error in (WavFormatError, ManifestFormatError, SifFormatError, CheckpointFormatError,
+                  AdamStateFormatError):
+        assert issubclass(error, ValueError), error
+
+
 def test_config_keys_are_the_train_config_fields():
     names = {f.name for f in fields(TrainConfig)}
     assert CONFIG_KEYS == names | {"cache"}
-    assert HYPERPARAM_KEYS <= names
 
 
 def test_config_text_reads_back_as_a_config_file(tmp_path):
@@ -483,26 +503,6 @@ def test_config_text_reads_back_as_a_config_file(tmp_path):
     path.write_text(config_text(cfg) + "\n")
     args = build_parser().parse_args(["train", "--config", str(path)])
     assert resolve_train_config(args, load_config_file(path)) == cfg
-
-
-def test_paper_defaults_pin_exactly_the_seven_hyperparameters(tmp_path):
-    assert HYPERPARAM_KEYS == {
-        "widths", "filters_per_width", "learning_rate", "dropout_rate",
-        "l2_lambda", "batch_size", "epochs",
-    }
-    cfg = TrainConfig(
-        widths=(2, 5), filters_per_width=7, learning_rate=0.003, dropout_rate=0.25,
-        l2_lambda=0.0, batch_size=3, epochs=9, seed=4, regime="multi", n_freq=40,
-        copies_per_snr=2,
-    )
-    path = tmp_path / "run.cfg"
-    path.write_text(config_text(cfg) + "\n")
-    args = build_parser().parse_args(["train", "--config", str(path), "--paper-defaults"])
-    got = resolve_train_config(args, load_config_file(path))
-    defaults = TrainConfig()
-    for f in fields(TrainConfig):
-        want = getattr(defaults if f.name in HYPERPARAM_KEYS else cfg, f.name)
-        assert getattr(got, f.name) == want, f.name
 
 
 def test_bad_config_value_is_usage_error(tmp_path, capsys):
@@ -572,33 +572,115 @@ def test_eval_missing_checkpoint_is_runtime_error(corpus_dir, tmp_path, capsys):
     assert "error:" in stderr
 
 
-def test_eval_infers_energy_row_from_checkpoint(corpus_dir, tmp_path, capsys):
+def test_eval_infers_energy_row_from_checkpoint(corpus_dir, cache_dir, tmp_path, capsys):
+    """It does not: an --energy checkpoint scores with --energy or with its
+    sidecar, and a data error names both row counts without either."""
     out = tmp_path / "energy.1max"
     code, _, _ = run(capsys, [
-        "train", "--manifest", str(corpus_dir / "manifest.tsv"),
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir),
         "--out", str(out), "--energy", "--epochs", "0",
         "--widths", "1", "--filters", "2", *SEED,
     ])
     assert code == 0
     assert load_checkpoint(out).input_rows == 53
-    # the 53-row checkpoint implies the energy row, whatever the flag says
-    for flag in ([], ["--no-energy"]):
-        code, stdout, _ = run(capsys, [
-            "eval", "--ckpt", str(out),
-            "--manifest", str(corpus_dir / "manifest.tsv"), *flag, *SEED,
-        ])
-        assert code == 0
+    argv = ["eval", "--ckpt", str(out), "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--cache", str(cache_dir), *SEED]
+    for flags in (["--energy"], ["--config", f"{out}.config.txt"]):
+        code, stdout, _ = run(capsys, argv + flags)
+        assert code == 0, flags
         assert "clean" in stdout
+    for flags in ([], ["--no-energy"]):
+        code, stdout, stderr = run(capsys, argv + flags)
+        assert code == 1, flags
+        assert stdout == ""
+        assert "checkpoint expects 53 input rows, config produces 52" in stderr
 
 
 def test_eval_takes_no_energy_row_from_checkpoint(corpus_dir, cache_dir, trained_checkpoint,
                                                   capsys):
-    code, stdout, _ = run(capsys, [
+    code, stdout, stderr = run(capsys, [
         "eval", "--ckpt", str(trained_checkpoint), "--energy",
         "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir), *SEED,
     ])
+    assert code == 1
+    assert stdout == ""
+    assert "checkpoint expects 52 input rows, config produces 53" in stderr
+
+
+def test_eval_without_the_trained_n_freq_is_data_error(corpus_dir, cache_dir, tmp_path, capsys):
+    # 53 frequency rows look like 52 plus an energy row, and must not score as such
+    out = tmp_path / "rows53.1max"
+    code, _, _ = run(capsys, [
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir),
+        "--out", str(out), "--n-freq", "53", "--epochs", "0",
+        "--widths", "1", "--filters", "2", *SEED,
+    ])
     assert code == 0
-    assert "clean" in stdout
+    code, stdout, stderr = run(capsys, [
+        "eval", "--ckpt", str(out), "--manifest", str(corpus_dir / "manifest.tsv"),
+        "--cache", str(cache_dir), *SEED,
+    ])
+    assert code == 1
+    assert stdout == ""
+    assert "checkpoint expects 53 input rows, config produces 52" in stderr
+
+
+def test_eval_with_the_sidecar_reproduces_the_training_row(corpus_dir, cache_dir, tmp_path,
+                                                           capsys):
+    out = tmp_path / "m.1max"
+    code, stdout, _ = run(capsys, [
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir),
+        "--out", str(out), *TINY_TRAIN, "--energy", "--snrs", "15,5", *SEED,
+    ])
+    assert code == 0
+    lines = stdout.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("best epoch"))
+    test_row = lines[at + 1 : at + 3]
+    # the sidecar alone restores the seed, the SNRs and the energy row
+    code, stdout, stderr = run(capsys, [
+        "eval", "--ckpt", str(out), "--manifest", str(corpus_dir / "manifest.tsv"),
+        "--config", f"{out}.config.txt", "--cache", str(cache_dir),
+    ])
+    assert code == 0, stderr
+    assert stdout.splitlines() == test_row
+    assert test_row[0].split() == ["clean", "snr15", "snr5", "mean"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("eval", "evaluate"), ("sweep", "width_sweep"), ("extract", "extract_features"),
+])
+def test_commands_hand_the_library_the_resolved_config(
+    corpus_dir, trained_checkpoint, tmp_path, monkeypatch, command, name
+):
+    """eval, sweep and extract resolve their settings exactly as train does."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("widths = 1,3\nfilters_per_width = 2\nepochs = 1\nseed = 9\n"
+                   "snrs = 20,0\ncopies_per_snr = 2\n")
+    argv = [command, "--manifest", str(corpus_dir / "manifest.tsv"), "--config", str(cfg),
+            "--energy", "--cache", str(tmp_path / "sifs")]
+    if command == "eval":
+        argv += ["--ckpt", str(trained_checkpoint)]
+    calls = []
+
+    def capture(*args):
+        calls.append(args)
+        if name == "extract_features":
+            return [np.zeros((53, 4)) for _ in args[0]]
+        return {"mean": 0.0} if name == "evaluate" else []
+
+    monkeypatch.setattr(cli, name, capture)
+    assert main(argv) == 0
+    want = resolve_train_config(build_parser().parse_args(argv), load_config_file(cfg))
+    assert want.widths == (1, 3) and want.with_energy and want.copies_per_snr == 2
+    config_at = {"evaluate": 3, "width_sweep": 0, "extract_features": 3}[name]
+    assert calls and all(args[config_at] == want for args in calls)
+    if name == "extract_features":
+        # one call per pair, covering every pair either regime reads
+        manifest = read_manifest(corpus_dir / "manifest.tsv")
+        cs = build_condition_set(manifest, None, "multi", 9, snrs=(20.0, 0.0),
+                                 copies_per_snr=2)
+        every = [*cs.train, *cs.validation, *(s for t in cs.test.values() for s in t)]
+        assert [s for args in calls for s in args[0]] == every
 
 
 # --- sweep -----------------------------------------------------------------------------
@@ -654,16 +736,28 @@ def test_sweep_reports_clip_error_once(corpus_dir, tmp_path, capsys):
     assert line.startswith(f"error: {slow} [clean]: sample rate 8000 Hz")
 
 
-def test_sweep_reports_failed_width(corpus_dir, cache_dir, capsys):
+def test_sweep_reports_failed_width(corpus_dir, cache_dir, capsys, width_1_diverges):
     code, stdout, stderr = run(capsys, [
         "sweep", "--manifest", str(corpus_dir / "manifest.tsv"),
-        "--widths", "0,1", "--filters", "2", "--batch-size", "8",
+        "--widths", "1,3", "--filters", "2", "--batch-size", "8",
         "--epochs", "1", "--cache", str(cache_dir), *SEED,
     ])
     assert code == 1
-    assert "width 0 failed" in stderr
-    assert "0\terror\t" in stdout
-    assert "1\tclean\t" in stdout  # the good width still ran
+    assert "width 1 failed: training diverged" in stderr
+    assert "1\terror\ttraining diverged" in stdout
+    assert "3\tclean\t" in stdout  # the other width still ran
+
+
+@pytest.mark.parametrize("widths", ["0,1", "3,3"])
+def test_sweep_bad_width_is_usage_error(corpus_dir, tmp_path, capsys, widths):
+    out = tmp_path / "sweep.tsv"
+    code, stdout, stderr = run(capsys, [
+        "sweep", "--manifest", str(corpus_dir / "manifest.tsv"),
+        "--widths", widths, "--out", str(out), *SEED,
+    ])
+    assert code == 2
+    assert "widths" in stderr
+    assert not out.exists()
 
 
 # --- gradcheck ---------------------------------------------------------------------------

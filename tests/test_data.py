@@ -425,10 +425,7 @@ def test_synth_config_validation():
         SynthConfig(noise_duration_s=0.5)
 
 
-@pytest.mark.parametrize("name", [
-    "min_duration_s", "max_duration_s", "min_amplitude", "max_amplitude",
-    "pitch_jitter", "noise_duration_s",
-])
+@pytest.mark.parametrize("name", ["min_duration_s", "max_duration_s", "noise_duration_s"])
 def test_synth_config_rejects_non_finite_floats(name):
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -429,7 +429,7 @@ def test_accuracy_table_layout():
 def test_width_sweep_rows_and_tsv(tiny_corpus, sif_cache):
     manifest, bank, _ = tiny_corpus
     base = TrainConfig(**TINY, epochs=1)
-    rows = width_sweep(base, [1, 3], manifest, bank, cache_dir=sif_cache)
+    rows = width_sweep(base, manifest, bank, cache_dir=sif_cache)
     assert [r["width"] for r in rows] == [1, 3]
     for row in rows:
         assert row["error"] is None
@@ -440,15 +440,16 @@ def test_width_sweep_rows_and_tsv(tiny_corpus, sif_cache):
     assert len(lines) == 1 + 2 * 5
 
 
-def test_width_sweep_continues_past_failures(tiny_corpus, sif_cache):
+def test_width_sweep_continues_past_failures(tiny_corpus, sif_cache, width_1_diverges):
     manifest, bank, _ = tiny_corpus
-    base = TrainConfig(**TINY, epochs=1)
-    rows = width_sweep(base, [0, 3], manifest, bank, cache_dir=sif_cache)
-    assert rows[0]["error"] is not None
+    rows = width_sweep(TrainConfig(**TINY, epochs=1), manifest, bank, cache_dir=sif_cache)
+    assert [r["width"] for r in rows] == [1, 3]
+    assert rows[0]["error"].startswith("training diverged")
     assert rows[0]["accuracy"] is None
     assert rows[1]["error"] is None
     tsv = sweep_tsv(rows)
-    assert "0\terror\t" in tsv
+    assert "1\terror\ttraining diverged" in tsv
+    assert "3\tclean\t" in tsv
 
 
 def test_width_sweep_without_cache_extracts_once(tiny_corpus, monkeypatch):
@@ -461,7 +462,7 @@ def test_width_sweep_without_cache_extracts_once(tiny_corpus, monkeypatch):
     counts = []
     for widths in ((1,), (1, 3)):
         calls.clear()
-        rows = width_sweep(base, widths, manifest, bank)
+        rows = width_sweep(replace(base, widths=widths), manifest, bank)
         assert all(row["error"] is None for row in rows)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
@@ -479,7 +480,7 @@ def test_width_sweep_without_cache_touches_no_sif_file(tiny_corpus, monkeypatch)
     manifest, bank, _ = tiny_corpus
     writes = count_calls(monkeypatch, dsp, "write_sif")
     reads = count_calls(monkeypatch, dsp, "read_sif")
-    rows = width_sweep(TrainConfig(**TINY, epochs=1), [1, 3], manifest, bank)
+    rows = width_sweep(TrainConfig(**TINY, epochs=1), manifest, bank)
     assert all(row["error"] is None for row in rows)
     assert writes == [] and reads == []
 
@@ -487,8 +488,8 @@ def test_width_sweep_without_cache_touches_no_sif_file(tiny_corpus, monkeypatch)
 def test_width_sweep_reads_each_cache_entry_once(tiny_corpus, tmp_path, monkeypatch):
     manifest, bank, _ = tiny_corpus
     base = TrainConfig(**TINY, epochs=1)
-    width_sweep(base, [1], manifest, bank, cache_dir=tmp_path)  # fills the cache
+    width_sweep(replace(base, widths=(1,)), manifest, bank, cache_dir=tmp_path)  # fills the cache
     reads = count_calls(monkeypatch, dsp, "read_sif")
-    rows = width_sweep(base, [1, 3, 5], manifest, bank, cache_dir=tmp_path)
+    rows = width_sweep(replace(base, widths=(1, 3, 5)), manifest, bank, cache_dir=tmp_path)
     assert all(row["error"] is None for row in rows)
     assert sorted(path for path, in reads) == sorted(tmp_path.glob("*.sif"))

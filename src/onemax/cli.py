@@ -11,7 +11,6 @@ configuration error (flags, config file, TrainConfig, SynthConfig).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -44,7 +43,6 @@ from .train import (
     width_sweep,
 )
 
-CACHE_ENV = "ONEMAX_CACHE"
 DEFAULTS = TrainConfig()
 
 # keys a config file may set; anything else is a typo worth failing on
@@ -112,23 +110,17 @@ def resolve_train_config(args, file_cfg: dict[str, str]) -> TrainConfig:
     return _build(TrainConfig, **_given(args, file_cfg))
 
 
-def resolve_cache_dir(args, file_cfg: dict[str, str], default=None):
-    explicit = getattr(args, "cache", None)
-    if explicit is not None:
-        return Path(explicit)
-    if "cache" in file_cfg:
-        return Path(file_cfg["cache"])
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return default
+def resolve_cache_dir(args, file_cfg: dict[str, str]) -> Path | None:
+    """--cache, else the config file's cache key, else no cache."""
+    path = args.cache if args.cache is not None else file_cfg.get("cache")
+    return Path(path) if path is not None else None
 
 
-def _load_inputs(args, with_noise: bool = True) -> tuple[Manifest, NoiseBank | None]:
-    """The manifest and, unless with_noise is false, the noise bank from
+def _load_inputs(args, config: TrainConfig) -> tuple[Manifest, NoiseBank | None]:
+    """The manifest and, when config names an SNR, the noise bank from
     --noise-dir or <manifest dir>/noise."""
     manifest = read_manifest(args.manifest)
-    if not with_noise:
+    if not config.snrs:
         return manifest, None
     noise_dir = Path(args.noise_dir) if args.noise_dir else manifest.root / "noise"
     return manifest, load_noise_bank(noise_dir)
@@ -155,22 +147,23 @@ def cmd_synth(args, file_cfg) -> int:
 
 def cmd_extract(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
-    # clean-only extraction (--snrs "") needs no noise bank
-    manifest, bank = _load_inputs(args, with_noise=bool(config.snrs))
-    cache_dir = resolve_cache_dir(args, file_cfg, default=manifest.root / "sif_cache")
+    cache_dir = resolve_cache_dir(args, file_cfg)
+    if cache_dir is None:
+        raise ConfigError("extract needs --cache or the config file's cache key")
+    manifest, bank = _load_inputs(args, config)
     cache_dir.mkdir(parents=True, exist_ok=True)
     # the multi regime's streams hold every pair either regime reads
     cs = build_condition_set(manifest, bank, "multi", config.seed,
                              snrs=config.snrs, copies_per_snr=config.copies_per_snr)
 
-    index_lines = ["digest\tpath\tcondition\trows\tcols"]
+    index_lines = ["digest\tpath\tcondition\tcopy\trows\tcols"]
     failures = 0
     for sample in [*cs.train, *cs.validation, *(s for test in cs.test.values() for s in test)]:
         path = cache_path(cache_dir, config, sample)
-        where = f"{sample.record.path} [{sample.condition}]"
+        where = f"{sample.description} -> {path.name}"
         values = read_cached(path)
         if values is not None:
-            print(f"skip (cached): {where} -> {path.name}")
+            print(f"skip (cached): {where}")
         else:
             try:
                 [values] = extract_features([sample], manifest, bank, config, cache_dir)
@@ -178,10 +171,9 @@ def cmd_extract(args, file_cfg) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            print(f"wrote: {where} -> {path.name} ({values.shape[0]}x{values.shape[1]})")
-        rows, cols = values.shape
-        index_lines.append(
-            f"{path.stem}\t{sample.record.path}\t{sample.condition}\t{rows}\t{cols}")
+            print(f"wrote: {where} ({values.shape[0]}x{values.shape[1]})")
+        fields = (path.stem, sample.record.path, sample.condition, sample.copy, *values.shape)
+        index_lines.append("\t".join(map(str, fields)))
     (cache_dir / "index.tsv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
     if failures:
         print(f"{failures} file(s) failed", file=sys.stderr)
@@ -191,7 +183,11 @@ def cmd_extract(args, file_cfg) -> int:
 
 def cmd_train(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
-    manifest, bank = _load_inputs(args)
+    out = Path(args.out)
+    log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
+    for path in (out, log_path):  # a path that cannot be written fails before epoch 1
+        path.parent.mkdir(parents=True, exist_ok=True)
+    manifest, bank = _load_inputs(args, config)
     cache_dir = resolve_cache_dir(args, file_cfg)
 
     print("resolved configuration:")
@@ -205,7 +201,6 @@ def cmd_train(args, file_cfg) -> int:
 
     params, report = train(config, manifest, bank, cache_dir, progress=progress)
 
-    out = Path(args.out)
     model.save_checkpoint(params, out)
     # the sidecar is a config file: `eval --config <sidecar>` restores the run's settings
     sidecar = out.with_name(out.name + ".config.txt")
@@ -213,7 +208,6 @@ def cmd_train(args, file_cfg) -> int:
         config_text(config) + f"\n# manifest={args.manifest}\n# checkpoint={out}\n",
         encoding="utf-8",
     )
-    log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
     log_path.write_text("\n".join(report.epoch_lines()) + "\n", encoding="utf-8")
 
     print(f"best epoch {report.best_epoch} (validation accuracy {report.best_val_acc:.4f})")
@@ -226,7 +220,7 @@ def cmd_train(args, file_cfg) -> int:
 def cmd_eval(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
     params = model.load_checkpoint(args.ckpt)
-    manifest, bank = _load_inputs(args)
+    manifest, bank = _load_inputs(args, config)
     cache_dir = resolve_cache_dir(args, file_cfg)
     accuracies = evaluate(params, manifest, bank, config, cache_dir)
     if args.tsv:
@@ -239,7 +233,9 @@ def cmd_eval(args, file_cfg) -> int:
 
 def cmd_sweep(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
-    manifest, bank = _load_inputs(args)
+    if args.out:  # a path that cannot be written fails before the first width
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    manifest, bank = _load_inputs(args, config)
     cache_dir = resolve_cache_dir(args, file_cfg)
     rows = width_sweep(config, manifest, bank, cache_dir)
     text = sweep_tsv(rows)
@@ -320,35 +316,33 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--snrs", type=CONFIG_PARSERS["snrs"], default=None,
                         help=f"comma-separated corruption SNRs in dB {_default('snrs')}")
     corpus.add_argument("--cache", default=None,
-                        help=f"SIF cache directory (default: ${CACHE_ENV} if set)")
-
-    training = argparse.ArgumentParser(add_help=False)
-    training.add_argument("--widths", type=CONFIG_PARSERS["widths"], default=None,
-                          help=f"comma-separated filter widths {_default('widths')}")
-    training.add_argument("--filters", dest="filters_per_width", type=int, default=None,
-                          help=f"filters per width {_default('filters_per_width')}")
-    training.add_argument("--lr", dest="learning_rate", type=float, default=None,
-                          help=f"Adam learning rate {_default('learning_rate')}")
-    training.add_argument("--dropout", dest="dropout_rate", type=float, default=None,
-                          help=f"dropout rate on the pooled vector {_default('dropout_rate')}")
-    training.add_argument("--l2", dest="l2_lambda", type=float, default=None,
-                          help=f"L2 regularization strength {_default('l2_lambda')}")
-    training.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                          help=f"minibatch size {_default('batch_size')}")
-    training.add_argument("--epochs", type=int, default=None,
-                          help="training epochs (default: " + ", ".join(
-                              f"{TrainConfig(regime=r).resolved_epochs} {r}"
-                              for r in REGIMES) + ")")
-    training.add_argument("--regime", choices=REGIMES, default=None,
-                          help=f"training regime {_default('regime')}")
-    training.add_argument("--copies-per-snr", dest="copies_per_snr", type=int, default=None,
-                          help="corrupted copies per SNR per training instance "
-                               f"{_default('copies_per_snr')}")
-    training.add_argument("--validate-clean-only", dest="validate_clean_only", default=None,
-                          action=argparse.BooleanOptionalAction,
-                          help="score validation on clean audio only; otherwise the multi "
-                               "regime validates on all conditions "
-                               f"{_default('validate_clean_only')}")
+                        help="SIF cache directory (default: none)")
+    corpus.add_argument("--widths", type=CONFIG_PARSERS["widths"], default=None,
+                        help=f"comma-separated filter widths {_default('widths')}")
+    corpus.add_argument("--filters", dest="filters_per_width", type=int, default=None,
+                        help=f"filters per width {_default('filters_per_width')}")
+    corpus.add_argument("--lr", dest="learning_rate", type=float, default=None,
+                        help=f"Adam learning rate {_default('learning_rate')}")
+    corpus.add_argument("--dropout", dest="dropout_rate", type=float, default=None,
+                        help=f"dropout rate on the pooled vector {_default('dropout_rate')}")
+    corpus.add_argument("--l2", dest="l2_lambda", type=float, default=None,
+                        help=f"L2 regularization strength {_default('l2_lambda')}")
+    corpus.add_argument("--batch-size", dest="batch_size", type=int, default=None,
+                        help=f"minibatch size {_default('batch_size')}")
+    corpus.add_argument("--epochs", type=int, default=None,
+                        help="training epochs (default: " + ", ".join(
+                            f"{TrainConfig(regime=r).resolved_epochs} {r}"
+                            for r in REGIMES) + ")")
+    corpus.add_argument("--regime", choices=REGIMES, default=None,
+                        help=f"training regime {_default('regime')}")
+    corpus.add_argument("--copies-per-snr", dest="copies_per_snr", type=int, default=None,
+                        help="corrupted copies per SNR per training instance "
+                             f"{_default('copies_per_snr')}")
+    corpus.add_argument("--validate-clean-only", dest="validate_clean_only", default=None,
+                        action=argparse.BooleanOptionalAction,
+                        help="score validation on clean audio only; otherwise the multi "
+                             "regime validates on all conditions "
+                             f"{_default('validate_clean_only')}")
 
     parser = argparse.ArgumentParser(
         prog="onemax",
@@ -369,12 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", parents=[common, corpus],
-                       help="extract features for every (record, condition) pair",
-                       description="Writes to --cache, the config file's cache key, "
-                                   f"${CACHE_ENV} or else <manifest dir>/sif_cache.")
+                       help="extract features for every (record, condition, copy) triple")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", parents=[common, corpus, training],
+    p = sub.add_parser("train", parents=[common, corpus],
                        help="train a model and write the best checkpoint")
     p.add_argument("--out", default="model.1max",
                    help="checkpoint output path (default: model.1max)")
@@ -388,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsv", action="store_true", help="tab-separated output")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", parents=[common, corpus, training],
+    p = sub.add_parser("sweep", parents=[common, corpus],
                        help="train one single-width model per width")
     p.add_argument("--out", default=None, help="TSV output path (default: stdout)")
     p.set_defaults(func=cmd_sweep)

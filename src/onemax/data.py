@@ -479,6 +479,12 @@ class Sample:
     def cache_key(self) -> str:
         return f"{self.record.path}|{self.condition}|{self.copy}"
 
+    @property
+    def description(self) -> str:
+        """`path [condition]`, naming the copy past the first: `path [snr0 copy 1]`."""
+        copy = f" copy {self.copy}" if self.copy else ""
+        return f"{self.record.path} [{self.condition}{copy}]"
+
 
 @dataclass
 class ConditionSet:

@@ -236,7 +236,7 @@ def extract_features(
     """SIF matrices for a sample stream, via the cache directory when given.
 
     A data error in loading, mixing or extracting one sample is raised as
-    a ValueError that names the clip and its condition; a failure to write
+    a ValueError prefixed with the sample's description; a failure to write
     the cache entry is raised as it is.
     """
     cache = Path(cache_dir) if cache_dir is not None else None
@@ -256,7 +256,7 @@ def extract_features(
                 with_energy=config.with_energy,
             )
         except (OSError, ValueError) as exc:
-            raise ValueError(f"{sample.record.path} [{sample.condition}]: {exc}") from exc
+            raise ValueError(f"{sample.description}: {exc}") from exc
         if path is not None:
             dsp.write_sif(sif, path)
         out.append(sif.values)

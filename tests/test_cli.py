@@ -7,7 +7,6 @@ import pytest
 
 from onemax import cli, dsp, model
 from onemax.cli import (
-    CACHE_ENV,
     CONFIG_KEYS,
     build_parser,
     load_config_file,
@@ -69,23 +68,26 @@ FIELD_FLAGS = {
 
 
 def test_help_shows_real_defaults(capsys, monkeypatch):
+    # every corpus command takes every setting its config file takes
     monkeypatch.setenv("COLUMNS", "400")  # one help entry per option, unwrapped
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--help"])
-    assert exc.value.code == 0
-    text = capsys.readouterr().out
-    assert "0.0001" in text      # learning rate and L2
-    assert "100" in text         # filters per width
-    assert "0.5" in text         # dropout
-    assert "1000 mismatched, 500 multi" in text
-
-    entries = text.split("\n  -")
     defaults = TrainConfig()
     assert set(FIELD_FLAGS) == {f.name for f in fields(TrainConfig)}
-    for name, flag in FIELD_FLAGS.items():
-        [entry] = [e for e in entries if e.split()[0].rstrip(",") == flag[1:]]
-        value = defaults.resolved_epochs if name == "epochs" else getattr(defaults, name)
-        assert f"(default: {value_text(value)}" in entry, (flag, entry)
+    for command in ("extract", "train", "eval", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "0.0001" in text      # learning rate and L2
+        assert "100" in text         # filters per width
+        assert "0.5" in text         # dropout
+        assert "1000 mismatched, 500 multi" in text
+        assert "SIF cache directory (default: none)" in text
+
+        entries = text.split("\n  -")
+        for name, flag in FIELD_FLAGS.items():
+            [entry] = [e for e in entries if e.split()[0].rstrip(",") == flag[1:]]
+            value = defaults.resolved_epochs if name == "epochs" else getattr(defaults, name)
+            assert f"(default: {value_text(value)}" in entry, (command, flag, entry)
 
 
 # --- synth --------------------------------------------------------------------------
@@ -142,9 +144,9 @@ def test_extract_writes_every_record_condition_pair(corpus_dir, tmp_path, capsys
     sifs = list(out.glob("*.sif"))
     assert len(sifs) == 18 * 4  # clean + three SNRs
     index = (out / "index.tsv").read_text().splitlines()
-    assert index[0] == "digest\tpath\tcondition\trows\tcols"
+    assert index[0] == "digest\tpath\tcondition\tcopy\trows\tcols"
     assert len(index) == 1 + 18 * 4
-    assert all(line.split("\t")[3] == "52" for line in index[1:])
+    assert all(line.split("\t")[4] == "52" for line in index[1:])
 
 
 def test_extract_skips_cached_files(corpus_dir, tmp_path, capsys):
@@ -267,15 +269,65 @@ def test_train_extracts_nothing_after_extract_with_copies(tiny_corpus, tmp_path,
     assert calls == []
 
 
-def test_extract_uses_cache_env_var(corpus_dir, tmp_path, monkeypatch, capsys):
-    env_cache = tmp_path / "env-cache"
-    monkeypatch.setenv(CACHE_ENV, str(env_cache))
-    code, _, _ = run(capsys, [
-        "extract", "--manifest", str(corpus_dir / "manifest.tsv"),
-        "--snrs", "", *SEED,
+def test_extract_index_names_each_copy(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "sifs"
+    code, stdout, _ = run(capsys, [
+        "extract", "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(out),
+        "--copies-per-snr", "2", *SEED,
     ])
     assert code == 0
-    assert len(list(env_cache.glob("*.sif"))) == 18  # clean only
+    rows = [line.split("\t") for line in (out / "index.tsv").read_text().splitlines()[1:]]
+    keys = [tuple(row[1:4]) for row in rows]
+    assert len(set(keys)) == len(keys)
+    assert {row[3] for row in rows} == {"0", "1"}
+    assert len({row[0] for row in rows}) == len(rows) == len(list(out.glob("*.sif")))
+    # each listed line names one pair and copy: the second copy says so, the first does not
+    lines = [line.split(" -> ")[0] for line in stdout.splitlines()]
+    assert len(set(lines)) == len(lines) == len(rows)
+    assert any(line.endswith(" copy 1]") for line in lines)
+    assert not any(" copy 0]" in line for line in lines)
+
+
+def test_extract_without_a_cache_is_usage_error(corpus_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["extract", "--manifest", str(corpus_dir / "manifest.tsv"), "--snrs", "", *SEED]
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 2
+    assert "--cache" in stderr and "cache key" in stderr
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+    assert not (corpus_dir / "sif_cache").exists()
+    # the config file's cache key is the other place a cache can be named
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cache = {tmp_path / 'keyed'}\n")
+    assert run(capsys, argv + ["--config", str(cfg)])[0] == 0
+    assert len(list((tmp_path / "keyed").glob("*.sif"))) == 18  # clean only
+
+
+def test_cache_env_var_is_not_read(corpus_dir, tmp_path, monkeypatch, capsys):
+    env_cache = tmp_path / "env-cache"
+    monkeypatch.setenv("ONEMAX_CACHE", str(env_cache))
+    code, _, _ = run(capsys, [
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"),
+        "--out", str(tmp_path / "m.1max"), *TINY_TRAIN, "--snrs", "", *SEED,
+    ])
+    assert code == 0
+    assert not env_cache.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_clean_only_run_loads_no_noise_bank(corpus_dir, cache_dir, trained_checkpoint, tmp_path,
+                                            capsys, command):
+    argv = [command, "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir),
+            "--noise-dir", str(tmp_path / "no-such-dir"), "--snrs", "", *SEED]
+    argv += {
+        "train": [*TINY_TRAIN, "--out", str(tmp_path / "m.1max")],
+        "eval": ["--ckpt", str(trained_checkpoint)],
+        "sweep": ["--widths", "1", "--filters", "2", "--epochs", "1"],
+    }[command]
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 0, stderr
+    assert "clean" in stdout
 
 
 # --- train ---------------------------------------------------------------------------
@@ -297,6 +349,40 @@ def test_train_writes_checkpoint_sidecar_and_log(corpus_dir, cache_dir, tmp_path
     assert set(json.loads(log_lines[0])) == {"epoch", "train_loss", "val_acc"}
     params = load_checkpoint(out)
     assert params.bank.widths == (1, 3)
+
+
+def test_train_makes_the_directory_it_writes_to(corpus_dir, cache_dir, tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "m.1max"
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"), "--out", str(out),
+        "--log", str(tmp_path / "logs" / "m.jsonl"), "--cache", str(cache_dir),
+        *TINY_TRAIN, *SEED,
+    ])
+    assert code == 0, stderr
+    assert out.exists()
+    assert len((tmp_path / "logs" / "m.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"), ("train", "--log"), ("sweep", "--out"),
+])
+def test_unwritable_output_path_fails_before_training(corpus_dir, cache_dir, tmp_path, capsys,
+                                                      monkeypatch, command, flag):
+    loaded = []
+    monkeypatch.setattr(cli, "read_manifest", lambda *a: loaded.append(a) or read_manifest(*a))
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file, not a directory\n")
+    argv = [command, "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir),
+            *TINY_TRAIN, *SEED, flag, str(blocker / "out")]
+    if command == "train" and flag == "--log":
+        argv += ["--out", str(tmp_path / "m.1max")]
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 1
+    assert "error:" in stderr
+    assert loaded == []  # it failed before reading the corpus
+    assert not any(line.startswith(("epoch", "width", "best epoch"))
+                   for line in stdout.splitlines())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_train_rejects_bad_dropout_before_touching_disk(corpus_dir, tmp_path, capsys):
@@ -470,8 +556,8 @@ def test_retired_flag_is_usage_error(tmp_path, capsys, flags):
 
 
 def test_extract_out_is_usage_error(tmp_path, capsys):
-    # extract writes where --cache (or the config file, $ONEMAX_CACHE, the
-    # manifest's directory) says, the one place train and eval read
+    # extract writes where --cache (or the config file's cache key) says,
+    # the one place train and eval read
     with pytest.raises(SystemExit) as exc:
         main(["extract", "--manifest", "whatever.tsv", "--out", str(tmp_path / "sifs")])
     assert exc.value.code == 2
@@ -652,14 +738,17 @@ def test_eval_with_the_sidecar_reproduces_the_training_row(corpus_dir, cache_dir
 def test_commands_hand_the_library_the_resolved_config(
     corpus_dir, trained_checkpoint, tmp_path, monkeypatch, command, name
 ):
-    """eval, sweep and extract resolve their settings exactly as train does."""
+    """eval, sweep and extract resolve their settings exactly as train does,
+    from a config file or from the same settings given as flags."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("widths = 1,3\nfilters_per_width = 2\nepochs = 1\nseed = 9\n"
                    "snrs = 20,0\ncopies_per_snr = 2\n")
-    argv = [command, "--manifest", str(corpus_dir / "manifest.tsv"), "--config", str(cfg),
+    flags = ["--widths", "1,3", "--filters", "2", "--epochs", "1", "--seed", "9",
+             "--snrs", "20,0", "--copies-per-snr", "2"]
+    base = [command, "--manifest", str(corpus_dir / "manifest.tsv"),
             "--energy", "--cache", str(tmp_path / "sifs")]
     if command == "eval":
-        argv += ["--ckpt", str(trained_checkpoint)]
+        base += ["--ckpt", str(trained_checkpoint)]
     calls = []
 
     def capture(*args):
@@ -669,18 +758,21 @@ def test_commands_hand_the_library_the_resolved_config(
         return {"mean": 0.0} if name == "evaluate" else []
 
     monkeypatch.setattr(cli, name, capture)
-    assert main(argv) == 0
-    want = resolve_train_config(build_parser().parse_args(argv), load_config_file(cfg))
-    assert want.widths == (1, 3) and want.with_energy and want.copies_per_snr == 2
-    config_at = {"evaluate": 3, "width_sweep": 0, "extract_features": 3}[name]
-    assert calls and all(args[config_at] == want for args in calls)
-    if name == "extract_features":
-        # one call per pair, covering every pair either regime reads
-        manifest = read_manifest(corpus_dir / "manifest.tsv")
-        cs = build_condition_set(manifest, None, "multi", 9, snrs=(20.0, 0.0),
-                                 copies_per_snr=2)
-        every = [*cs.train, *cs.validation, *(s for t in cs.test.values() for s in t)]
-        assert [s for args in calls for s in args[0]] == every
+    manifest = read_manifest(corpus_dir / "manifest.tsv")
+    cs = build_condition_set(manifest, None, "multi", 9, snrs=(20.0, 0.0), copies_per_snr=2)
+    for argv, file_cfg in ((base + ["--config", str(cfg)], load_config_file(cfg)),
+                           (base + flags, {})):
+        calls.clear()
+        assert main(argv) == 0, argv
+        want = resolve_train_config(build_parser().parse_args(argv), file_cfg)
+        assert want.widths == (1, 3) and want.with_energy and want.copies_per_snr == 2
+        assert want.seed == 9 and want.snrs == (20.0, 0.0)
+        config_at = {"evaluate": 3, "width_sweep": 0, "extract_features": 3}[name]
+        assert calls and all(args[config_at] == want for args in calls)
+        if name == "extract_features":
+            # one call per pair, covering every pair either regime reads
+            every = [*cs.train, *cs.validation, *(s for t in cs.test.values() for s in t)]
+            assert [s for args in calls for s in args[0]] == every
 
 
 # --- sweep -----------------------------------------------------------------------------

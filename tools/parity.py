@@ -4,12 +4,12 @@
 
 Each tree runs the same fixed script (SCRIPT) in its own temporary
 directory, with that tree's src/ as PYTHONPATH and one BLAS thread: the
-README quick start (synth 5 x 16 clips, train --cache, eval), a width
-sweep with and without --cache, and gradcheck. Each command's stdout is
-kept as stdout/<step>.txt beside the files it wrote. Then every file of
-the two output trees is compared. A committed digest would not do:
-rounding follows the BLAS kernel a CPU selects, so only two runs on one
-machine can be compared.
+README quick start (synth 5 x 16 clips, train --cache, eval), extract
+into a cache of its own, a width sweep with and without --cache, and
+gradcheck. Each command's stdout is kept as stdout/<step>.txt beside the
+files it wrote. Then every file of the two output trees is compared. A
+committed digest would not do: rounding follows the BLAS kernel a CPU
+selects, so only two runs on one machine can be compared.
 
 Prints one line per difference: the first differing byte of a file that
 both trees have, numbered from 1 as cmp numbers it, and each file only
@@ -42,6 +42,7 @@ SCRIPT = [
                "--epochs", "100", "--seed", "11", "--out", "multi.1max", "--cache", "sifs"]),
     ("eval", ["eval", "--ckpt", "multi.1max", "--manifest", MANIFEST,
               "--cache", "sifs", "--seed", "11"]),
+    ("extract", ["extract", "--manifest", MANIFEST, "--cache", "extract_sifs", "--seed", "11"]),
     ("sweep_cached", SWEEP + ["--cache", "sweep_sifs"]),
     ("sweep", SWEEP),
     ("gradcheck", ["gradcheck", "--seed", "3"]),

@@ -3,9 +3,12 @@
 Configuration precedence: built-in defaults < config file (key=value
 lines, # comments) < command-line flags. All randomness flows from one
 --seed; sub-seeds are derived by labeled hashing, so adding a consumer
-never perturbs existing streams. Exit codes: 0 success, 1 runtime, I/O
-or data failure (any ValueError raised past configuration), 2 usage or
-configuration error (flags, config file, TrainConfig, SynthConfig).
+never perturbs existing streams. Every file a command writes is checked
+before its work starts and written whole by write_atomic. Exit codes:
+0 success, 1 runtime, I/O or data failure (any ValueError raised past
+configuration, an output path that is a directory), 2 usage or
+configuration error (flags, config file, TrainConfig, SynthConfig, two
+outputs naming one file).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model
+from .container import write_atomic
 from .data import (
     Manifest,
     NoiseBank,
@@ -126,6 +130,21 @@ def _load_inputs(args, config: TrainConfig) -> tuple[Manifest, NoiseBank | None]
     return manifest, load_noise_bank(noise_dir)
 
 
+def _outputs(*paths) -> None:
+    """Fail before any work if two outputs name one file (exit 2) or one is a
+    directory (exit 1); make each output's parent directory."""
+    seen: dict[Path, Path] = {}
+    for path in map(Path, paths):
+        key = path.resolve()
+        if key in seen:
+            raise ConfigError(f"outputs {seen[key]} and {path} name one file")
+        seen[key] = path
+    for path in seen.values():
+        if path.is_dir():
+            raise IsADirectoryError(f"output {path} is a directory")
+        path.parent.mkdir(parents=True, exist_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -136,6 +155,7 @@ def cmd_synth(args, file_cfg) -> int:
         instances_per_class=args.per_class,
         noise_duration_s=args.noise_duration,
     )
+    _outputs(Path(args.out) / "manifest.tsv")
     manifest, bank = synth_corpus(cfg, args.out, resolve_seed(args, file_cfg))
     counts = {split: len(manifest.by_split(split)) for split in ("train", "validation", "test")}
     print(f"wrote {len(manifest.records)} event WAVs across {manifest.n_classes} classes")
@@ -151,7 +171,8 @@ def cmd_extract(args, file_cfg) -> int:
     if cache_dir is None:
         raise ConfigError("extract needs --cache or the config file's cache key")
     manifest, bank = _load_inputs(args, config)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    index = cache_dir / "index.tsv"
+    _outputs(index)
     # the multi regime's streams hold every pair either regime reads
     cs = build_condition_set(manifest, bank, "multi", config.seed,
                              snrs=config.snrs, copies_per_snr=config.copies_per_snr)
@@ -174,7 +195,7 @@ def cmd_extract(args, file_cfg) -> int:
             print(f"wrote: {where} ({values.shape[0]}x{values.shape[1]})")
         fields = (path.stem, sample.record.path, sample.condition, sample.copy, *values.shape)
         index_lines.append("\t".join(map(str, fields)))
-    (cache_dir / "index.tsv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
+    write_atomic(index, ("\n".join(index_lines) + "\n").encode())
     if failures:
         print(f"{failures} file(s) failed", file=sys.stderr)
         return 1
@@ -184,9 +205,10 @@ def cmd_extract(args, file_cfg) -> int:
 def cmd_train(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
     out = Path(args.out)
+    # the sidecar is a config file: `eval --config <sidecar>` restores the run's settings
+    sidecar = out.with_name(out.name + ".config.txt")
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
-    for path in (out, log_path):  # a path that cannot be written fails before epoch 1
-        path.parent.mkdir(parents=True, exist_ok=True)
+    _outputs(out, sidecar, log_path)
     manifest, bank = _load_inputs(args, config)
     cache_dir = resolve_cache_dir(args, file_cfg)
 
@@ -202,13 +224,9 @@ def cmd_train(args, file_cfg) -> int:
     params, report = train(config, manifest, bank, cache_dir, progress=progress)
 
     model.save_checkpoint(params, out)
-    # the sidecar is a config file: `eval --config <sidecar>` restores the run's settings
-    sidecar = out.with_name(out.name + ".config.txt")
-    sidecar.write_text(
-        config_text(config) + f"\n# manifest={args.manifest}\n# checkpoint={out}\n",
-        encoding="utf-8",
-    )
-    log_path.write_text("\n".join(report.epoch_lines()) + "\n", encoding="utf-8")
+    write_atomic(sidecar, (config_text(config)
+                           + f"\n# manifest={args.manifest}\n# checkpoint={out}\n").encode())
+    write_atomic(log_path, ("\n".join(report.epoch_lines()) + "\n").encode())
 
     print(f"best epoch {report.best_epoch} (validation accuracy {report.best_val_acc:.4f})")
     print(accuracy_table(report.test_acc))
@@ -233,14 +251,14 @@ def cmd_eval(args, file_cfg) -> int:
 
 def cmd_sweep(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
-    if args.out:  # a path that cannot be written fails before the first width
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    if args.out:
+        _outputs(args.out)
     manifest, bank = _load_inputs(args, config)
     cache_dir = resolve_cache_dir(args, file_cfg)
     rows = width_sweep(config, manifest, bank, cache_dir)
     text = sweep_tsv(rows)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_atomic(args.out, (text + "\n").encode())
         print(f"wrote {args.out}")
     else:
         print(text)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import write_atomic
 from .dsp import SAMPLE_RATE, Waveform
 from .seeds import derive_seed
 
@@ -177,7 +178,7 @@ def write_manifest(manifest: Manifest, path) -> None:
     lines = [MANIFEST_HEADER]
     for rec in manifest.records:
         lines.append(f"{rec.path}\t{rec.label}\t{rec.split}\tclean\t-")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_manifest(path) -> Manifest:

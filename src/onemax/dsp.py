@@ -62,14 +62,6 @@ class Sif:
                 f"has_energy={self.has_energy}; got {self.values.shape[0]}"
             )
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
 
 def hamming_window(length: int) -> np.ndarray:
     """Symmetric Hamming window 0.54 - 0.46*cos(2*pi*n/(length-1)).
@@ -155,9 +147,7 @@ def extract_sif(wave: Waveform, n_freq: int = N_FREQ, with_energy: bool = False)
 
 def write_sif(sif: Sif, path) -> None:
     """Write a .sif file: magic, u32 rows, u32 cols, u8 energy flag, f64 column-major data."""
-    header = SIF_MAGIC + struct.pack(
-        "<IIB", sif.n_rows, sif.n_frames, 1 if sif.has_energy else 0
-    )
+    header = SIF_MAGIC + struct.pack("<IIB", *sif.values.shape, 1 if sif.has_energy else 0)
     body = np.ascontiguousarray(sif.values.T, dtype="<f8").tobytes()
     write_atomic(path, header + body)
 

@@ -107,14 +107,9 @@ class AdamState:
     v: list[np.ndarray] = field(repr=False)
 
 
-def adam_init(
-    blocks: list[tuple[str, np.ndarray]],
-    alpha: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    """Fresh optimizer state with zero moments matching each block's shape."""
+def adam_init(blocks: list[tuple[str, np.ndarray]], alpha: float = 1e-4) -> AdamState:
+    """Fresh optimizer state with zero moments matching each block's shape,
+    and Kingma and Ba's beta1 = 0.9, beta2 = 0.999, eps = 1e-8."""
     if not blocks:
         raise ValueError("adam_init needs at least one parameter block")
     names = [name for name, _ in blocks]
@@ -122,9 +117,9 @@ def adam_init(
         raise ValueError(f"duplicate block names: {names}")
     return AdamState(
         alpha=alpha,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
+        beta1=0.9,
+        beta2=0.999,
+        eps=1e-8,
         step=0,
         block_names=names,
         m=[np.zeros_like(arr, dtype=np.float64) for _, arr in blocks],

@@ -1,6 +1,8 @@
 import json
+import os
 import wave as wave_module
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,7 +184,7 @@ def test_extract_energy_row(corpus_dir, tmp_path, capsys):
     ])
     assert code == 0
     sif = read_sif(next(iter(out.glob("*.sif"))))
-    assert sif.n_rows == 53
+    assert sif.values.shape[0] == 53
     assert sif.has_energy
 
 
@@ -383,6 +385,93 @@ def test_unwritable_output_path_fails_before_training(corpus_dir, cache_dir, tmp
     assert not any(line.startswith(("epoch", "width", "best epoch"))
                    for line in stdout.splitlines())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("command, flag, taken", [
+    ("train", "--out", "out"), ("train", "--log", "out"), ("train", "--out", "out.config.txt"),
+    ("sweep", "--out", "out"),
+])
+def test_output_that_is_a_directory_fails_before_training(corpus_dir, cache_dir, tmp_path, capsys,
+                                                          monkeypatch, command, flag, taken):
+    loaded = []
+    monkeypatch.setattr(cli, "read_manifest", lambda *a: loaded.append(a) or read_manifest(*a))
+    (tmp_path / taken).mkdir()
+    argv = [command, "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir),
+            *TINY_TRAIN, *SEED, flag, str(tmp_path / "out")]
+    if command == "train" and flag == "--log":
+        argv += ["--out", str(tmp_path / "m.1max")]
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 1
+    assert f"error: output {tmp_path / taken} is a directory" in stderr
+    assert loaded == []  # it failed before reading the corpus
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken]
+
+
+def test_extract_index_that_is_a_directory_fails_before_extracting(corpus_dir, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    (cache / "index.tsv").mkdir(parents=True)
+    code, stdout, stderr = run(capsys, [
+        "extract", "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache), *SEED,
+    ])
+    assert code == 1
+    assert f"output {cache / 'index.tsv'} is a directory" in stderr
+    assert stdout == ""
+    assert [p.name for p in cache.iterdir()] == ["index.tsv"]  # no .sif written
+
+
+def test_synth_manifest_that_is_a_directory_fails_before_any_wav(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    (out / "manifest.tsv").mkdir(parents=True)
+    code, stdout, stderr = run(capsys, ["synth", "--out", str(out), "--classes", "2",
+                                        "--per-class", "4", *SEED])
+    assert code == 1
+    assert f"output {out / 'manifest.tsv'} is a directory" in stderr
+    assert stdout == ""
+    assert [p.name for p in out.iterdir()] == ["manifest.tsv"]  # no WAV written
+
+
+@pytest.mark.parametrize("log, first", [
+    ("m.1max", "m.1max"), ("m.1max.config.txt", "m.1max.config.txt"), ("sub/../m.1max", "m.1max"),
+])
+def test_two_outputs_naming_one_file_is_usage_error(corpus_dir, tmp_path, capsys, monkeypatch,
+                                                    log, first):
+    loaded = []
+    monkeypatch.setattr(cli, "read_manifest", lambda *a: loaded.append(a) or read_manifest(*a))
+    out = tmp_path / "new" / "m.1max"
+    code, stdout, stderr = run(capsys, [
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"), *TINY_TRAIN, *SEED,
+        "--out", str(out), "--log", str(tmp_path / "new" / log),
+    ])
+    assert code == 2
+    assert stderr.startswith("error: outputs ") and stderr.rstrip().endswith(" name one file")
+    assert f"outputs {tmp_path / 'new' / first} and {tmp_path / 'new' / log} name" in stderr
+    assert loaded == []
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []  # not even the output directory
+
+
+def test_failed_log_write_leaves_the_previous_log_whole(corpus_dir, cache_dir, tmp_path, capsys,
+                                                        monkeypatch):
+    log = tmp_path / "m.jsonl"
+    previous = b'{"epoch": 1, "train_loss": 1.0, "val_acc": 0.5}\n'
+    log.write_bytes(previous)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == log:
+            raise OSError("no space left for the log")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", str(corpus_dir / "manifest.tsv"), "--cache", str(cache_dir),
+        *TINY_TRAIN, *SEED, "--out", str(tmp_path / "m.1max"), "--log", str(log),
+    ])
+    assert code == 1
+    assert "no space left for the log" in stderr
+    assert log.read_bytes() == previous
+    assert list(tmp_path.glob("*.tmp")) == list(tmp_path.glob(".*.tmp")) == []
 
 
 def test_train_rejects_bad_dropout_before_touching_disk(corpus_dir, tmp_path, capsys):

@@ -128,7 +128,7 @@ def test_empty_block_list_rejected():
 def test_exact_first_step_formula():
     g = 3.0
     arr = np.array([1.0])
-    state = adam_init([("x", arr)], alpha=0.2, beta1=0.9, beta2=0.999, eps=1e-8)
+    state = adam_init([("x", arr)], alpha=0.2)
     adam_step(state, [("x", arr)], [np.array([g])])
     m_hat = (1 - 0.9) * g / (1 - 0.9)
     v_hat = (1 - 0.999) * g * g / (1 - 0.999)
@@ -141,7 +141,8 @@ def test_state_round_trip_bit_exact(tmp_path):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal(5)
     blocks = [("layer.w", a), ("layer.b", b)]
-    state = adam_init(blocks, alpha=0.007, beta1=0.85, beta2=0.99, eps=1e-9)
+    state = adam_init(blocks, alpha=0.007)
+    state.beta1, state.beta2, state.eps = 0.85, 0.99, 1e-9
     for _ in range(9):
         adam_step(state, blocks, [rng.standard_normal((3, 4)), rng.standard_normal(5)])
 

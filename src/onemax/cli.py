@@ -7,20 +7,22 @@ never perturbs existing streams. Every file a command writes is checked
 before its work starts and written whole by write_atomic. Exit codes:
 0 success, 1 runtime, I/O or data failure (any ValueError raised past
 configuration, an output path that is a directory), 2 usage or
-configuration error (flags, config file, TrainConfig, SynthConfig, two
-outputs naming one file).
+configuration error (flags, a config file that is unreadable, not UTF-8 or
+malformed, TrainConfig, SynthConfig, two outputs naming one file, an
+output that names the manifest or the config file).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import model
-from .container import write_atomic
+from .container import read_text, write_atomic
 from .data import (
     Manifest,
     NoiseBank,
@@ -33,24 +35,18 @@ from .data import (
 )
 from .seeds import derive_seed
 from .train import (
-    CONFIG_PARSERS,
     TrainConfig,
     accuracy_table,
     cache_path,
-    config_text,
     evaluate,
     extract_features,
     read_cached,
     sweep_tsv,
     train,
-    value_text,
     width_sweep,
 )
 
 DEFAULTS = TrainConfig()
-
-# keys a config file may set; anything else is a typo worth failing on
-CONFIG_KEYS = set(CONFIG_PARSERS) | {"cache"}
 
 # every data-format error (WAV, manifest, .sif, checkpoint, Adam state) is a ValueError
 RUNTIME_ERRORS = (OSError, ValueError, RuntimeError, FloatingPointError)
@@ -67,14 +63,65 @@ def _build(cls, **values):
         raise ConfigError(str(exc)) from None
 
 
+# ---------------------------------------------------------------------------
+# The config text format: config files, the train sidecar and flag values
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_tuple(item):
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(",")) if text.strip() else ()
+    parse.__name__ = f"{item.__name__} list"  # argparse names the type in its errors
+    return parse
+
+
+# Text parser for each TrainConfig field type; config files and flags use it,
+# and it reads back what config_text writes.
+_PARSERS = {
+    "tuple[int, ...]": _parse_tuple(int),
+    "tuple[float, ...]": _parse_tuple(float),
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+}
+CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
+# keys a config file may set; anything else is a typo worth failing on
+CONFIG_KEYS = set(CONFIG_PARSERS) | {"cache"}
+
+
+def value_text(value) -> str:
+    """The config_text form of one field value: tuples comma-joined, floats in
+    them as %g where that reads back exactly and as repr where it does not."""
+    if isinstance(value, tuple):
+        return ",".join(_float_text(v) if isinstance(v, float) else str(v) for v in value)
+    return str(value)
+
+
+def _float_text(v: float) -> str:
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
+def config_text(config: TrainConfig) -> str:
+    """key=value dump of every TrainConfig field, with epochs resolved."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    values["epochs"] = config.resolved_epochs
+    return "\n".join(f"{k}={value_text(v)}" for k, v in values.items())
+
+
 def load_config_file(path) -> dict[str, str]:
     """Parse key=value lines; # starts a comment; unknown keys are errors."""
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -130,12 +177,16 @@ def _load_inputs(args, config: TrainConfig) -> tuple[Manifest, NoiseBank | None]
     return manifest, load_noise_bank(noise_dir)
 
 
-def _outputs(*paths) -> None:
-    """Fail before any work if two outputs name one file (exit 2) or one is a
-    directory (exit 1); make each output's parent directory."""
+def _outputs(args, *paths) -> None:
+    """Fail before any work if an output names the --manifest or --config file
+    or another output (exit 2) or is a directory (exit 1); make each output's
+    parent directory."""
+    inputs = {Path(p).resolve(): p for p in (getattr(args, "manifest", None), args.config) if p}
     seen: dict[Path, Path] = {}
     for path in map(Path, paths):
         key = path.resolve()
+        if key in inputs:
+            raise ConfigError(f"output {path} names the input {inputs[key]}")
         if key in seen:
             raise ConfigError(f"outputs {seen[key]} and {path} name one file")
         seen[key] = path
@@ -155,7 +206,7 @@ def cmd_synth(args, file_cfg) -> int:
         instances_per_class=args.per_class,
         noise_duration_s=args.noise_duration,
     )
-    _outputs(Path(args.out) / "manifest.tsv")
+    _outputs(args, Path(args.out) / "manifest.tsv")
     manifest, bank = synth_corpus(cfg, args.out, resolve_seed(args, file_cfg))
     counts = {split: len(manifest.by_split(split)) for split in ("train", "validation", "test")}
     print(f"wrote {len(manifest.records)} event WAVs across {manifest.n_classes} classes")
@@ -172,7 +223,7 @@ def cmd_extract(args, file_cfg) -> int:
         raise ConfigError("extract needs --cache or the config file's cache key")
     manifest, bank = _load_inputs(args, config)
     index = cache_dir / "index.tsv"
-    _outputs(index)
+    _outputs(args, index)
     # the multi regime's streams hold every pair either regime reads
     cs = build_condition_set(manifest, bank, "multi", config.seed,
                              snrs=config.snrs, copies_per_snr=config.copies_per_snr)
@@ -193,8 +244,8 @@ def cmd_extract(args, file_cfg) -> int:
                 failures += 1
                 continue
             print(f"wrote: {where} ({values.shape[0]}x{values.shape[1]})")
-        fields = (path.stem, sample.record.path, sample.condition, sample.copy, *values.shape)
-        index_lines.append("\t".join(map(str, fields)))
+        row = (path.stem, sample.record.path, sample.condition, sample.copy, *values.shape)
+        index_lines.append("\t".join(map(str, row)))
     write_atomic(index, ("\n".join(index_lines) + "\n").encode())
     if failures:
         print(f"{failures} file(s) failed", file=sys.stderr)
@@ -208,7 +259,7 @@ def cmd_train(args, file_cfg) -> int:
     # the sidecar is a config file: `eval --config <sidecar>` restores the run's settings
     sidecar = out.with_name(out.name + ".config.txt")
     log_path = Path(args.log) if args.log else out.with_name(out.name + ".log.jsonl")
-    _outputs(out, sidecar, log_path)
+    _outputs(args, out, sidecar, log_path)
     manifest, bank = _load_inputs(args, config)
     cache_dir = resolve_cache_dir(args, file_cfg)
 
@@ -252,7 +303,7 @@ def cmd_eval(args, file_cfg) -> int:
 def cmd_sweep(args, file_cfg) -> int:
     config = resolve_train_config(args, file_cfg)
     if args.out:
-        _outputs(args.out)
+        _outputs(args, args.out)
     manifest, bank = _load_inputs(args, config)
     cache_dir = resolve_cache_dir(args, file_cfg)
     rows = width_sweep(config, manifest, bank, cache_dir)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import write_atomic
+from .container import read_text, write_atomic
 from .dsp import SAMPLE_RATE, Waveform
 from .seeds import derive_seed
 
@@ -183,11 +183,7 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 def read_manifest(path) -> Manifest:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ManifestFormatError(f"{path}: cannot read ({exc})") from exc
-    lines = text.splitlines()
+    lines = read_text(path, ManifestFormatError).splitlines()
     if not lines or lines[0].strip() != MANIFEST_HEADER:
         raise ManifestFormatError(f"{path}: missing {MANIFEST_HEADER} header line")
     records = []

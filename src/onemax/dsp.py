@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import Reader, write_atomic
+from .container import Reader, f64_buffer, write_atomic
 
 SAMPLE_RATE = 16000        # the only rate the framing below is defined for
 WINDOW_LEN = 1600          # 100 ms at 16 kHz
@@ -148,8 +148,7 @@ def extract_sif(wave: Waveform, n_freq: int = N_FREQ, with_energy: bool = False)
 def write_sif(sif: Sif, path) -> None:
     """Write a .sif file: magic, u32 rows, u32 cols, u8 energy flag, f64 column-major data."""
     header = SIF_MAGIC + struct.pack("<IIB", *sif.values.shape, 1 if sif.has_energy else 0)
-    body = np.ascontiguousarray(sif.values.T, dtype="<f8").tobytes()
-    write_atomic(path, header + body)
+    write_atomic(path, header, f64_buffer(sif.values.T))
 
 
 def read_sif(path) -> Sif:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import Reader, f64_buffer, write_sealed
-from .optim import fnv1a
+from .container import Reader, f64_buffer, fnv1a, write_sealed
 
 CHECKPOINT_MAGIC = b"1MAX"
 CHECKPOINT_VERSION = 1

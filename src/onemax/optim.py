@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter blocks.
+"""Adam optimizer over named parameter blocks, and its `ADM1` state file.
 
 The model exposes its parameters as an ordered list of (name, ndarray)
 blocks; the optimizer keeps one pair of moment arrays per block and
@@ -13,80 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import Reader, f64_buffer, write_sealed
+from .container import Reader, f64_buffer, fnv1a, write_sealed
 
 ADAM_MAGIC = b"ADM1"
-
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# fnv1a works on blocks of this many bytes; _POWERS[_BLOCK - n:] is P^n ... P^1
-_BLOCK = 1 << 16
-_POWERS = np.cumprod(np.full(_BLOCK, FNV_PRIME, np.uint64))[::-1].copy()
-_BYTE_ONES = np.uint64(0x0101010101010101)
-_WORD_SHIFTS = tuple(np.uint64(s) for s in (8, 16, 32))
-_TOP_BYTE = np.uint64(56)
-
-
-def _prefix_xor(t: np.ndarray) -> None:
-    """In place, t[i] becomes t[0] ^ ... ^ t[i]; len(t) is a multiple of 8.
-
-    Eight bytes at a time: a shift-XOR scan inside each little-endian word,
-    then one XOR scan over the words' top bytes carries into the next word.
-    """
-    w = t.view("<u8")
-    for s in _WORD_SHIFTS:
-        w ^= w << s
-    w[1:] ^= np.bitwise_xor.accumulate(w[:-1] >> _TOP_BYTE) * _BYTE_ONES
-
-
-def _low_bytes(b: np.ndarray, l0: int) -> np.ndarray:
-    """The state's low byte before each byte of b, starting from l0.
-
-    It runs by itself: l' = c * (l ^ byte) mod 256, c = 0xB3 being the
-    prime's low byte. As c is odd, bit k of c * x is bit k of x XOR a term of
-    x's lower bits, so bit k of l' is bit k of l XOR bit k of
-    c * ((l mod 2^k) ^ byte). With bits 0..k-1 of every l known, that flip is
-    known, and bit k of every l is a prefix XOR of the flips. Eight passes
-    give all bits.
-    """
-    n = len(b)
-    data = np.zeros(-(-n // 8) * 8, np.uint8)
-    data[:n] = b
-    low = np.zeros_like(data)  # pass k holds l mod 2^k
-    for k in range(8):
-        bit = np.uint8(1 << k)
-        flips = low ^ data
-        flips *= np.uint8(FNV_PRIME & 0xFF)
-        flips &= bit
-        _prefix_xor(flips)  # flips[i]: bit k of l[i + 1] XOR bit k of l0
-        if l0 & bit:
-            flips ^= bit
-            low[0] |= bit
-        low[1:] |= flips[:-1]
-    return low[:n]
-
-
-def fnv1a(data) -> int:
-    """64-bit FNV-1a hash, used as a cheap integrity checksum in file formats.
-
-    Equal to the per-byte loop h = ((h ^ byte) * P) mod 2^64 on every input
-    (bytes, bytearray or memoryview), computed a block at a time. XOR with a
-    byte changes only the low byte l of h, so each step adds
-    P * ((l ^ byte) - l) to P * h, and once the low bytes are known a block's
-    effect on h is one wrap-around dot product with the powers of P.
-    """
-    buf = np.frombuffer(data, np.uint8)
-    h = FNV_OFFSET
-    for start in range(0, len(buf), _BLOCK):
-        b = buf[start : start + _BLOCK]
-        low = _low_bytes(b, h & 0xFF)
-        steps = (low ^ b).astype(np.int64)
-        steps -= low
-        powers = _POWERS[_BLOCK - len(b) :]
-        h = (h * int(powers[0]) + int(np.dot(steps.view(np.uint64), powers))) & _MASK64
-    return h
 
 
 class AdamStateFormatError(ValueError):

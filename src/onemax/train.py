@@ -1,4 +1,5 @@
-"""Training loop with validation-based retention, evaluation, width sweeps.
+"""Training loop with validation-based retention, evaluation, width sweeps
+and the feature cache.
 
 Each epoch: shuffled minibatches, per-sample forward (train mode) and
 backward, arithmetic-mean gradient over the batch, one Adam step. After
@@ -14,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,49 +95,6 @@ class TrainConfig:
     @property
     def input_rows(self) -> int:
         return self.n_freq + (1 if self.with_energy else 0)
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_tuple(item):
-    def parse(text: str) -> tuple:
-        return tuple(item(part) for part in text.split(",")) if text.strip() else ()
-    parse.__name__ = f"{item.__name__} list"  # argparse names the type in its errors
-    return parse
-
-
-# Text parser for each TrainConfig field type; config files and flags use it,
-# and it reads back what config_text writes.
-_PARSERS = {
-    "tuple[int, ...]": _parse_tuple(int),
-    "tuple[float, ...]": _parse_tuple(float),
-    "int": int,
-    "int | None": int,
-    "float": float,
-    "str": str,
-    "bool": _parse_bool,
-}
-CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
-
-
-def value_text(value) -> str:
-    """The config_text form of one field value: tuples comma-joined, floats in
-    them as %g where that reads back exactly and as repr where it does not."""
-    if isinstance(value, tuple):
-        return ",".join(_float_text(v) if isinstance(v, float) else str(v) for v in value)
-    return str(value)
-
-
-def _float_text(v: float) -> str:
-    short = f"{v:g}"
-    return short if float(short) == v else repr(float(v))
 
 
 @dataclass
@@ -479,9 +437,3 @@ def sweep_tsv(rows: list[dict]) -> str:
             lines.append(f"{row['width']}\t{condition}\t{acc:.6f}")
     return "\n".join(lines)
 
-
-def config_text(config: TrainConfig) -> str:
-    """key=value dump of every TrainConfig field, with epochs resolved."""
-    values = {f.name: getattr(config, f.name) for f in fields(config)}
-    values["epochs"] = config.resolved_epochs
-    return "\n".join(f"{k}={value_text(v)}" for k, v in values.items())

@@ -11,15 +11,17 @@ from onemax import cli, dsp, model
 from onemax.cli import (
     CONFIG_KEYS,
     build_parser,
+    config_text,
     load_config_file,
     main,
     resolve_train_config,
+    value_text,
 )
 from onemax.data import ManifestFormatError, WavFormatError, build_condition_set, read_manifest
 from onemax.dsp import SifFormatError, read_sif
 from onemax.model import CheckpointFormatError, load_checkpoint
 from onemax.optim import AdamStateFormatError
-from onemax.train import TrainConfig, config_text, value_text
+from onemax.train import TrainConfig
 
 SEED = ["--seed", "5"]
 TINY_TRAIN = ["--widths", "1,3", "--filters", "2", "--batch-size", "8", "--epochs", "2"]
@@ -473,6 +475,77 @@ def test_failed_log_write_leaves_the_previous_log_whole(corpus_dir, cache_dir, t
     assert log.read_bytes() == previous
     assert list(tmp_path.glob("*.tmp")) == list(tmp_path.glob(".*.tmp")) == []
 
+
+
+@pytest.mark.parametrize("command, flag, value, taken", [
+    ("train", "--out", "manifest.tsv", "manifest.tsv"),
+    ("train", "--log", "manifest.tsv", "manifest.tsv"),
+    ("sweep", "--out", "manifest.tsv", "manifest.tsv"),
+    ("train", "--out", "m.1max.config.txt", "m.1max.config.txt"),
+    ("train", "--log", "m.1max.config.txt", "m.1max.config.txt"),
+    ("sweep", "--out", "m.1max.config.txt", "m.1max.config.txt"),
+    ("train", "--out", "m.1max", "m.1max.config.txt"),  # its sidecar is the config file
+])
+def test_output_that_names_an_input_is_usage_error(corpus_dir, tmp_path, capsys, monkeypatch,
+                                                   command, flag, value, taken):
+    loaded = []
+    monkeypatch.setattr(cli, "read_manifest", lambda *a: loaded.append(a) or read_manifest(*a))
+    manifest, config = tmp_path / "manifest.tsv", tmp_path / "m.1max.config.txt"
+    manifest.write_bytes((corpus_dir / "manifest.tsv").read_bytes())
+    config.write_text("seed = 5\n")
+    inputs = {path: path.read_bytes() for path in (manifest, config)}
+    argv = [command, "--manifest", str(manifest), "--config", str(config), *TINY_TRAIN,
+            flag, str(tmp_path / value)]
+    if flag == "--log":
+        argv += ["--out", str(tmp_path / "x.1max")]
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 2
+    assert f"error: output {tmp_path / taken} names the input {tmp_path / taken}" in stderr
+    assert loaded == []
+    assert stdout == ""
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == inputs
+
+
+@pytest.mark.parametrize("taken", ["manifest", "config"])
+def test_extract_index_that_names_an_input_is_usage_error(corpus_dir, tmp_path, capsys, taken):
+    for name in ("events", "noise"):
+        (tmp_path / name).symlink_to(corpus_dir / name)
+    index = tmp_path / "index.tsv"
+    if taken == "manifest":
+        index.write_bytes((corpus_dir / "manifest.tsv").read_bytes())
+        inputs = ["--manifest", str(index)]
+    else:
+        index.write_text("seed = 5\n")
+        inputs = ["--manifest", str(corpus_dir / "manifest.tsv"), "--config", str(index)]
+    before = index.read_bytes()
+    code, stdout, stderr = run(capsys, ["extract", *inputs, "--cache", str(tmp_path), *SEED])
+    assert code == 2
+    assert f"error: output {index} names the input {index}" in stderr
+    assert stdout == ""
+    assert index.read_bytes() == before
+    assert list(tmp_path.rglob("*.sif")) == []
+
+
+def test_manifest_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"#manifest-v1\nevents/\xff.wav\tdog\ttrain\tclean\t-\n")
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", str(manifest), "--out", str(tmp_path / "m.1max"), *TINY_TRAIN,
+    ])
+    assert code == 1
+    assert f"error: {manifest}: cannot read (" in stderr
+
+
+def test_config_file_that_is_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed = 5 # \xff\n")
+    code, _, stderr = run(capsys, [
+        "train", "--manifest", "whatever.tsv", "--out", str(tmp_path / "m.1max"),
+        "--config", str(config),
+    ])
+    assert code == 2
+    assert f"error: {config}: cannot read (" in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 def test_train_rejects_bad_dropout_before_touching_disk(corpus_dir, tmp_path, capsys):
     out = tmp_path / "model.1max"

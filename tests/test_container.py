@@ -10,8 +10,9 @@ import pytest
 
 from onemax.dsp import Sif, SifFormatError, read_sif, write_sif
 from onemax.model import CheckpointFormatError, init_params, load_checkpoint, save_checkpoint
+from onemax.container import fnv1a
 from onemax.optim import (
-    AdamStateFormatError, adam_init, adam_step, fnv1a, load_adam_state, save_adam_state,
+    AdamStateFormatError, adam_init, adam_step, load_adam_state, save_adam_state,
 )
 
 DATA = Path(__file__).parent / "data"

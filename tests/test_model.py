@@ -24,7 +24,7 @@ from onemax.model import (
     regularizer,
     save_checkpoint,
 )
-from onemax.optim import fnv1a
+from onemax.container import fnv1a
 
 
 # --- independent oracles -----------------------------------------------------

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from onemax.model import init_params, save_checkpoint
+from onemax.container import FNV_OFFSET, FNV_PRIME, fnv1a
 from onemax.optim import (
-    FNV_OFFSET,
-    FNV_PRIME,
     AdamState,
     AdamStateFormatError,
     adam_init,
     adam_step,
-    fnv1a,
     load_adam_state,
     save_adam_state,
 )

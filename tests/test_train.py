@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from onemax import dsp, model
+from onemax.cli import config_text
 from onemax.data import Manifest, build_condition_set
 from onemax.dsp import Sif
 from onemax.train import (
@@ -14,7 +15,6 @@ from onemax.train import (
     TrainConfig,
     TrainReport,
     accuracy_table,
-    config_text,
     evaluate,
     extract_features,
     feature_digest,

@@ -4,9 +4,9 @@
 
 Each tree runs the same fixed script (SCRIPT) in its own temporary
 directory, with that tree's src/ as PYTHONPATH and one BLAS thread: the
-README quick start (synth 5 x 16 clips, train --cache, eval), extract
-into a cache of its own, a width sweep with --cache (to a TSV file) and
-without it (to stdout), and gradcheck. Each command's stdout is kept as
+README quick start (synth 5 x 16 clips, train --cache, eval --config with
+the run's sidecar), extract into a cache of its own, a width sweep with
+--cache (to a TSV file) and without it (to stdout), and gradcheck. Each command's stdout is kept as
 stdout/<step>.txt beside the files it wrote. Then every file of the two
 output trees is compared. A committed digest would not do: rounding
 follows the BLAS kernel a CPU selects, so only two runs on one machine
@@ -42,7 +42,7 @@ SCRIPT = [
                "--widths", "1,3,5,7,9", "--filters", "16", "--batch-size", "10",
                "--epochs", "100", "--seed", "11", "--out", "multi.1max", "--cache", "sifs"]),
     ("eval", ["eval", "--ckpt", "multi.1max", "--manifest", MANIFEST,
-              "--cache", "sifs", "--seed", "11"]),
+              "--config", "multi.1max.config.txt", "--cache", "sifs"]),
     ("extract", ["extract", "--manifest", MANIFEST, "--cache", "extract_sifs", "--seed", "11"]),
     ("sweep_cached", SWEEP + ["--cache", "sweep_sifs", "--out", "sweep_cached.tsv"]),
     ("sweep", SWEEP),
